@@ -4,8 +4,8 @@
 
 use crate::discovery::Binding;
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{FactoryStub, Gsh, OgsiError, StreamWire};
-use pperfgrid::{ApplicationStub, ExecutionStub, PrQuery};
+use pperf_ogsi::{FactoryStub, Gsh, OgsiError};
+use pperfgrid::{ApplicationStub, ExecutionStub, PrQuery, StreamWire};
 use ppg_context::CallContext;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -274,7 +274,8 @@ impl ExecutionQueryPanel {
     ///
     /// `on_rows` receives the producing Execution's handle alongside each
     /// batch; returning `false` abandons that stream at the frame boundary
-    /// (the remaining pairs still run). Legacy sites and `PPG_FORCE_XML=1`
+    /// (the remaining pairs still run). Each pair rides a one-entry batch
+    /// stream; sites that do not batch-stream and `PPG_FORCE_XML=1`
     /// transparently fall back to the buffered wire — the outcome's `wire`
     /// says which path carried the rows. A stream that dies mid-scan
     /// surfaces as `truncated` with its delivered rows already consumed;

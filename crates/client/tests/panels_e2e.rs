@@ -11,6 +11,7 @@ use pperf_httpd::HttpClient;
 use pperf_ogsi::{Container, ContainerConfig, RegistryService};
 use pperfgrid::wrappers::{HplSqlWrapper, RmaTextWrapper};
 use pperfgrid::{PrQuery, Site, SiteConfig, TYPE_UNDEFINED};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct Grid {
@@ -48,7 +49,14 @@ fn grid() -> Grid {
     )
     .unwrap();
 
-    let rma_dir = std::env::temp_dir().join(format!("client-e2e-rma-{}", std::process::id()));
+    // One directory per grid: the tests run in parallel, and each guard
+    // deletes its directory on drop.
+    static GRIDS: AtomicUsize = AtomicUsize::new(0);
+    let rma_dir = std::env::temp_dir().join(format!(
+        "client-e2e-rma-{}-{}",
+        std::process::id(),
+        GRIDS.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&rma_dir);
     let rma_store = RmaTextStore::generate(&rma_dir, &RmaSpec::tiny()).unwrap();
     let rma = Arc::new(RmaTextWrapper::new(rma_store));

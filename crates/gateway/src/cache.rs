@@ -582,13 +582,15 @@ impl SegmentCache {
     }
 
     /// Admit one over-budget filterable segment as several window-sized
-    /// slices, each under the admission cap. Rows are sorted by span start
-    /// and packed greedily; interior slice boundaries come from each
-    /// following chunk's first row start (clamped monotone within the
-    /// window), and every slice's window is widened to cover its own rows'
-    /// clamped spans, so the slices tile the scan window — a later lookup
-    /// stitches them back into one range answer. Slices bypass the merge
-    /// (merging would just rebuild the over-budget segment).
+    /// slices. The scan window is cut into cells at row starts, packing
+    /// rows in span-start order greedily under the admission cap; the
+    /// cells tile the window, so a later lookup stitches them back into one
+    /// range answer. Each slice holds every row whose span touches its
+    /// cell: a lookup answered from one slice alone (its neighbour evicted)
+    /// must not lose the rows that start on, or straddle, its edges. Those
+    /// seam rows therefore land in both neighbours, and stitching dedups
+    /// them by text. Slices bypass the merge (merging would just rebuild
+    /// the over-budget segment).
     fn insert_sliced(
         &self,
         inner: &mut Inner,
@@ -601,42 +603,43 @@ impl SegmentCache {
         let cap = (self.config.max_bytes / 4).max(1);
         let mut order: Vec<usize> = (0..rows.len()).collect();
         order.sort_by(|&a, &b| spans[a].0.total_cmp(&spans[b].0));
-        // Greedy pack under the cap. A chunk always takes at least one row,
-        // so a single row larger than the cap is still admitted whole.
+        // A cell always takes at least one row, so a single row larger
+        // than the cap is still admitted whole; rows sharing one start
+        // cannot be split, so the edges stay strictly increasing.
         let base = key.len() + 96;
-        let mut chunks: Vec<Vec<usize>> = Vec::new();
-        let mut cur: Vec<usize> = Vec::new();
-        let mut cur_bytes = base;
-        for idx in order {
+        let mut edges: Vec<f64> = vec![window.0];
+        let mut cell_bytes = base;
+        for &idx in &order {
             let row_cost = rows[idx].len() + 48;
-            if !cur.is_empty() && cur_bytes + row_cost > cap {
-                chunks.push(std::mem::take(&mut cur));
-                cur_bytes = base;
+            let last = *edges.last().expect("seeded with window.0");
+            let edge = spans[idx].0.max(last).min(window.1);
+            if cell_bytes > base && cell_bytes + row_cost > cap && edge > last {
+                edges.push(edge);
+                cell_bytes = base;
             }
-            cur.push(idx);
-            cur_bytes += row_cost;
+            cell_bytes += row_cost;
         }
-        if !cur.is_empty() {
-            chunks.push(cur);
+        if edges.len() == 1 || *edges.last().expect("seeded") < window.1 {
+            edges.push(window.1);
         }
-        let mut bounds: Vec<f64> = Vec::with_capacity(chunks.len() + 1);
-        bounds.push(window.0);
-        for chunk in chunks.iter().skip(1) {
-            let prev = *bounds.last().expect("seeded with window.0");
-            bounds.push(spans[chunk[0]].0.max(prev).min(window.1));
-        }
-        bounds.push(window.1);
-        for (chunk, pair) in chunks.iter().zip(bounds.windows(2)) {
-            let chunk_rows: Vec<String> = chunk.iter().map(|&i| rows[i].clone()).collect();
-            let chunk_spans: Vec<(f64, f64)> = chunk.iter().map(|&i| spans[i]).collect();
-            // Widen the partition cell to the chunk's own row extent so a
-            // row straddling a boundary stays reachable from both sides.
-            let mut start = pair[0];
-            let mut end = pair[1];
-            for &(s0, s1) in &chunk_spans {
-                start = start.min(s0.max(window.0));
-                end = end.max(s1.min(window.1));
+        let cells = edges.len() - 1;
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); cells];
+        for &idx in &order {
+            let (s0, s1) = spans[idx];
+            // Cells `first..last` are the ones the span touches.
+            let first = edges[1..].partition_point(|&edge| edge < s0);
+            let last = edges[..cells].partition_point(|&edge| edge <= s1);
+            if first < last {
+                for cell in &mut members[first..last] {
+                    cell.push(idx);
+                }
+            } else {
+                members[first.min(cells - 1)].push(idx);
             }
+        }
+        for (cell, pair) in members.iter().zip(edges.windows(2)) {
+            let chunk_rows: Vec<String> = cell.iter().map(|&i| rows[i].clone()).collect();
+            let chunk_spans: Vec<(f64, f64)> = cell.iter().map(|&i| spans[i]).collect();
             let bytes = segment_cost(key, &chunk_rows);
             let id = inner.next_id;
             inner.next_id += 1;
@@ -648,8 +651,8 @@ impl SegmentCache {
                 .or_default()
                 .push(Segment {
                     id,
-                    start,
-                    end,
+                    start: pair[0],
+                    end: pair[1],
                     rows: Arc::new(chunk_rows),
                     spans: Some(chunk_spans),
                     bytes,
@@ -1485,6 +1488,66 @@ mod tests {
                 assert_eq!(rows.len(), 40, "all rows recovered across slices");
             }
             other => panic!("expected stitched hit, got {other:?}"),
+        }
+    }
+
+    /// Rows of a unit-span scan whose span touches `window`.
+    fn rows_touching(rows: &[String], window: (f64, f64)) -> Vec<String> {
+        let mut touching: Vec<String> = rows
+            .iter()
+            .filter(|row| {
+                let (s0, s1) = row_time_span(row).expect("spanned row");
+                s1 >= window.0 && s0 <= window.1
+            })
+            .cloned()
+            .collect();
+        touching.sort();
+        touching
+    }
+
+    #[test]
+    fn slice_answers_keep_boundary_rows_after_neighbour_eviction() {
+        let rows = spanned_rows("x", 0, 40);
+        for evict_later in [true, false] {
+            let cache = SegmentCache::new(config(1024, 4096, Duration::from_secs(60)));
+            cache.insert("a", (0.0, 40.0), Arc::clone(&rows));
+            // The first interior slice edge, and every slice on the far
+            // side of it evicted (the eviction order is the policy's
+            // business; the answer must not depend on it).
+            let edge = {
+                let mut inner = cache.inner.lock();
+                let segs = inner.series.get_mut("a").expect("sliced series");
+                assert!(segs.len() >= 2, "over-budget scan must slice");
+                let edge = segs
+                    .iter()
+                    .map(|seg| seg.start)
+                    .filter(|&start| start > 0.0)
+                    .fold(f64::INFINITY, f64::min);
+                segs.retain(|seg| {
+                    if evict_later {
+                        seg.end <= edge
+                    } else {
+                        seg.start >= edge
+                    }
+                });
+                edge
+            };
+            // A lookup ending (or starting) exactly on the edge is still
+            // answered by the surviving slice alone, and must carry the
+            // row that starts (or ends) on the edge.
+            let window = if evict_later {
+                (edge - 3.0, edge)
+            } else {
+                (edge, edge + 3.0)
+            };
+            match cache.lookup("a", window) {
+                Lookup::Hit { rows: got, .. } => {
+                    let mut got = got.to_vec();
+                    got.sort();
+                    assert_eq!(got, rows_touching(&rows, window), "window {window:?}");
+                }
+                other => panic!("expected a range hit for {window:?}, got {other:?}"),
+            }
         }
     }
 

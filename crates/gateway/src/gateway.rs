@@ -26,15 +26,15 @@ use crate::query::{FederatedQuery, FederatedResult, SiteError, SiteErrorKind, Si
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pperf_httpd::{HttpClient, Request};
-use pperf_ogsi::{BatchStreamEntryOutcome, BatchWire, Gsh, OgsiError, ServiceStub, StreamWire};
-use pperf_soap::{BatchEntry, BatchOutcome};
+use pperf_ogsi::{force_xml, BatchStreamEntryOutcome, Gsh, OgsiError, ServiceStub, Wire};
+use pperf_soap::{BatchEntry, BatchOutcome, Fault};
 use pperfgrid::{row_time_span, ExecutionStub, PrQuery, EXECUTION_NS};
 use ppg_context::CallContext;
 use ppg_notify::{
     Event, NotificationSink, NotifyError, SinkConfig, SinkHandler, TOPIC_CACHE_INVALIDATE,
     TOPIC_REGISTRY_MEMBERS,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -130,29 +130,12 @@ pub struct GatewayConfig {
     /// two snapshot wire calls are repeated. `Duration::ZERO` disables the
     /// snapshot cache.
     pub plan_cache_ttl: Duration,
-    /// Fold each site's uncached targets into one multi-call wire request
-    /// per host, when the site advertises `supportsBatch`. Sites that don't
-    /// (and singleton target groups) transparently fall back to per-call
-    /// getPR.
-    pub batch_enabled: bool,
-    /// Let those multi-calls travel the binary data plane (PPGB frames)
-    /// against sites whose containers speak it, with per-connection codec
-    /// negotiation and transparent XML fallback. Off pins every batch to
-    /// XML regardless of what sites advertise.
-    pub binary_enabled: bool,
     /// Subscribe to the push notification plane: registry membership deltas
     /// invalidate the planner snapshot the moment they happen (instead of
     /// waiting out `plan_cache_ttl`), and per-site invalidation events drop
     /// cached results ahead of their TTL. Sites that don't speak the plane
     /// silently stay on TTL polling, as does everything when this is off.
     pub notifications_enabled: bool,
-    /// Consume per-call `getPR` answers as incremental PPGB result streams
-    /// from sites that advertise `supportsStreaming`: rows arrive
-    /// frame-at-a-time (constant gateway memory per in-flight scan, partial
-    /// results when a site dies mid-stream, cancellation at frame
-    /// boundaries). Legacy sites — and batched multi-calls — stay on the
-    /// buffered wire; off pins everything to it.
-    pub streaming_enabled: bool,
 }
 
 impl Default for GatewayConfig {
@@ -171,10 +154,7 @@ impl Default for GatewayConfig {
             cache_spill_dir: None,
             cache_spill_max_bytes: 256 << 20,
             plan_cache_ttl: Duration::from_millis(500),
-            batch_enabled: true,
-            binary_enabled: true,
             notifications_enabled: true,
-            streaming_enabled: true,
         }
     }
 }
@@ -243,27 +223,9 @@ impl GatewayConfig {
         self
     }
 
-    /// Toggle the batched wire protocol (per-site multi-call fan-in).
-    pub fn with_batching(mut self, enabled: bool) -> GatewayConfig {
-        self.batch_enabled = enabled;
-        self
-    }
-
-    /// Toggle the binary data plane for batched multi-calls.
-    pub fn with_binary(mut self, enabled: bool) -> GatewayConfig {
-        self.binary_enabled = enabled;
-        self
-    }
-
     /// Toggle push-notification subscriptions (event-driven invalidation).
     pub fn with_notifications(mut self, enabled: bool) -> GatewayConfig {
         self.notifications_enabled = enabled;
-        self
-    }
-
-    /// Toggle incremental result streaming for per-call getPR.
-    pub fn with_streaming(mut self, enabled: bool) -> GatewayConfig {
-        self.streaming_enabled = enabled;
         self
     }
 }
@@ -310,32 +272,20 @@ struct Stats {
     /// deltas and per-site `cache.invalidate` events), counted separately
     /// from the TTL-expiry path above.
     notify_invalidations: AtomicU64,
-    /// Batched multi-call wire requests issued.
+    /// Buffered multi-call exchanges (XML or binary) that carried a batch.
     batched_calls: AtomicU64,
-    /// getPR entries that rode those batched requests.
+    /// getPR entries that rode those buffered batches.
     batch_entries: AtomicU64,
-    /// Per-call getPR calls issued while batching was enabled (site without
-    /// `supportsBatch`, singleton target group, or hedge leg).
+    /// Per-call getPR calls issued against batch-capable sites (a
+    /// singleton group or a hedge leg below wire version 3).
     batch_fallback: AtomicU64,
-    /// Batched wire requests that travelled as PPGB binary frames.
+    /// Buffered batches that travelled as PPGB binary frames.
     binary_calls: AtomicU64,
     /// getPR entries that rode those binary frames.
     binary_entries: AtomicU64,
-    /// Batched wire requests that tried binary but were transparently
-    /// re-sent as XML (legacy peer, corrupt frame, non-binary answer).
+    /// Binary batch attempts stepped down to the XML batch (the peer
+    /// answered 404, non-binary, or a corrupt frame).
     binary_fallbacks: AtomicU64,
-    /// Per-call getPR answers consumed as incremental result streams.
-    streams: AtomicU64,
-    /// Stream-segment frames those calls consumed.
-    stream_frames: AtomicU64,
-    /// Rows those frames delivered.
-    stream_rows: AtomicU64,
-    /// Streams that died after delivering rows but before their trailer —
-    /// surfaced as partial results with a `Truncated` site error.
-    stream_truncated: AtomicU64,
-    /// Stream attempts transparently re-sent as buffered calls (legacy
-    /// peer: route missing or non-stream answer).
-    stream_fallbacks: AtomicU64,
     /// Batched wire requests consumed as interleaved batch streams.
     batch_streams: AtomicU64,
     /// getPR entries that rode those batch streams.
@@ -344,8 +294,8 @@ struct Stats {
     /// their trailer — surfaced as partial results with a `Truncated`
     /// site error, siblings unaffected.
     batch_stream_truncated: AtomicU64,
-    /// Batch-stream attempts transparently re-sent as buffered batches
-    /// (legacy or PR-4-era peer: route missing or non-stream answer).
+    /// Batch-stream attempts stepped down to the binary batch (the peer
+    /// answered 404, a non-stream head, or a corrupt frame before rows).
     batch_stream_fallbacks: AtomicU64,
     in_flight: AtomicI64,
     sites: Mutex<HashMap<String, SiteLatency>>,
@@ -416,31 +366,19 @@ pub struct GatewaySnapshot {
     pub notify_events: u64,
     /// Poll-fallback resyncs after sequence gaps on those subscriptions.
     pub notify_resyncs: u64,
-    /// Batched multi-call wire requests issued.
+    /// Buffered multi-call exchanges (XML or binary) that carried a batch.
     pub batched_calls: u64,
-    /// getPR entries that rode those batched requests.
+    /// getPR entries that rode those buffered batches.
     pub batch_entries: u64,
-    /// Per-call getPR calls issued while batching was enabled (no site
-    /// capability, singleton group, or hedge leg).
+    /// Per-call getPR calls issued against batch-capable sites (a
+    /// singleton group or a hedge leg below wire version 3).
     pub batch_fallback_calls: u64,
-    /// Batched wire requests that travelled as PPGB binary frames.
+    /// Buffered batches that travelled as PPGB binary frames.
     pub binary_calls: u64,
     /// getPR entries that rode those binary frames.
     pub binary_entries: u64,
-    /// Binary attempts transparently re-sent as XML (legacy peer, corrupt
-    /// frame, or non-binary answer).
+    /// Binary batch attempts stepped down to the XML batch.
     pub binary_fallback_calls: u64,
-    /// Per-call getPR answers consumed as incremental result streams.
-    pub streams: u64,
-    /// Stream-segment frames those calls consumed.
-    pub stream_frames: u64,
-    /// Rows those frames delivered.
-    pub stream_rows: u64,
-    /// Streams that died after delivering rows but before their trailer
-    /// (partial results, `Truncated` site errors).
-    pub stream_truncated: u64,
-    /// Stream attempts transparently re-sent as buffered calls.
-    pub stream_fallback_calls: u64,
     /// Batched wire requests consumed as interleaved batch streams.
     pub batch_streams: u64,
     /// getPR entries that rode those batch streams.
@@ -448,7 +386,7 @@ pub struct GatewaySnapshot {
     /// Batch-stream entries that died after delivering rows but before
     /// their trailer (partial results, `Truncated` site errors).
     pub batch_stream_truncated: u64,
-    /// Batch-stream attempts transparently re-sent as buffered batches.
+    /// Batch-stream attempts stepped down to the binary batch.
     pub batch_stream_fallback_calls: u64,
     /// Registry-snapshot cache hits in the planner.
     pub plan_snapshot_hits: u64,
@@ -470,13 +408,45 @@ struct Inner {
     flights: Arc<SingleFlight>,
     stats: Stats,
     notify: NotifyState,
-    /// Container authorities whose stream attempt fell back to a buffered
-    /// call: legacy peers, remembered so later calls skip the dead probe.
-    no_stream: Mutex<HashSet<String>>,
-    /// Container authorities whose batch-stream attempt fell back to the
-    /// buffered batch: PR-4-era peers, remembered so later batches skip
-    /// the dead probe.
-    no_batch_stream: Mutex<HashSet<String>>,
+    /// The newest wire each container authority proved it speaks, learned
+    /// when an exchange had to step down past a stale `wireVersion`: later
+    /// batches open on the remembered rung instead of re-paying the failed
+    /// attempt.
+    wire_downgrades: Mutex<HashMap<String, Wire>>,
+}
+
+impl Inner {
+    /// The wire a batch to `authority` opens with: the site's advertised
+    /// wire, capped by the XML batch under `PPG_FORCE_XML=1` and by any
+    /// step-down remembered for the authority.
+    fn wire_for(&self, advertised: Wire, authority: &str) -> Wire {
+        let mut wire = advertised;
+        if force_xml() {
+            wire = wire.min(Wire::XmlBatch);
+        }
+        if let Some(&known) = self.wire_downgrades.lock().get(authority) {
+            wire = wire.min(known);
+        }
+        wire
+    }
+
+    /// Remember that `authority` needed `wire` or older.
+    fn remember_downgrade(&self, authority: &str, wire: Wire) {
+        let mut downgrades = self.wire_downgrades.lock();
+        let known = downgrades.entry(authority.to_owned()).or_insert(wire);
+        *known = (*known).min(wire);
+    }
+
+    /// Store fetched rows in the segment cache and index the series under
+    /// `site` (so a lease invalidation can drop it).
+    fn fill_cache(&self, site: &str, series: &str, window: (f64, f64), rows: Arc<Vec<String>>) {
+        self.cache.insert(series, window, rows);
+        self.site_keys
+            .lock()
+            .entry(site.to_owned())
+            .or_default()
+            .insert(series.to_owned());
+    }
 }
 
 /// The gateway's push subscriptions (empty when notifications are off).
@@ -664,13 +634,13 @@ struct PendingTarget {
     primary_failed: bool,
     hedge_failed: bool,
     done: bool,
-    /// The primary leg rode a shared multi-call batch: `primary_ctx` is the
-    /// batch's shared context, so cancelling it would kill sibling entries.
-    batched: bool,
-    /// This target's legs (hedge included) consume incremental result
-    /// streams: the site advertises `supportsStreaming` and the gateway has
-    /// streaming on. Batched targets never stream.
-    streaming: bool,
+    /// The primary leg shares its context with sibling entries of a batch
+    /// of two or more, so cancelling it would kill them too. A batch of one
+    /// is cancelled like a per-call leg.
+    shared: bool,
+    /// The newest wire the target's site advertises; the hedge leg opens
+    /// on it (capped per authority like any batch).
+    site_wire: Wire,
     /// The primary leg's context (cancelled if the hedge wins or the
     /// deadline expires while it is still out).
     primary_ctx: CallContext,
@@ -738,11 +708,6 @@ impl FederatedGateway {
                 binary_calls: AtomicU64::new(0),
                 binary_entries: AtomicU64::new(0),
                 binary_fallbacks: AtomicU64::new(0),
-                streams: AtomicU64::new(0),
-                stream_frames: AtomicU64::new(0),
-                stream_rows: AtomicU64::new(0),
-                stream_truncated: AtomicU64::new(0),
-                stream_fallbacks: AtomicU64::new(0),
                 batch_streams: AtomicU64::new(0),
                 batch_stream_entries: AtomicU64::new(0),
                 batch_stream_truncated: AtomicU64::new(0),
@@ -754,8 +719,7 @@ impl FederatedGateway {
             client,
             config,
             notify: NotifyState::default(),
-            no_stream: Mutex::new(HashSet::new()),
-            no_batch_stream: Mutex::new(HashSet::new()),
+            wire_downgrades: Mutex::new(HashMap::new()),
         };
         let gateway = Arc::new(FederatedGateway {
             inner: Arc::new(inner),
@@ -911,11 +875,6 @@ impl FederatedGateway {
             binary_calls: inner.stats.binary_calls.load(Ordering::Relaxed),
             binary_entries: inner.stats.binary_entries.load(Ordering::Relaxed),
             binary_fallback_calls: inner.stats.binary_fallbacks.load(Ordering::Relaxed),
-            streams: inner.stats.streams.load(Ordering::Relaxed),
-            stream_frames: inner.stats.stream_frames.load(Ordering::Relaxed),
-            stream_rows: inner.stats.stream_rows.load(Ordering::Relaxed),
-            stream_truncated: inner.stats.stream_truncated.load(Ordering::Relaxed),
-            stream_fallback_calls: inner.stats.stream_fallbacks.load(Ordering::Relaxed),
             batch_streams: inner.stats.batch_streams.load(Ordering::Relaxed),
             batch_stream_entries: inner.stats.batch_stream_entries.load(Ordering::Relaxed),
             batch_stream_truncated: inner.stats.batch_stream_truncated.load(Ordering::Relaxed),
@@ -1037,96 +996,48 @@ impl FederatedGateway {
                     uncached.push((target, slot_pr, cache_fill, prefix_rows));
                 }
             }
-            // Batch-capable sites fold their misses into one multi-call wire
-            // request per host (a site's instances may be spread across
-            // replica containers); everything else goes per-call.
-            let mut batch_groups: Vec<Vec<UncachedSlot<'_>>> = Vec::new();
-            let mut per_call: Vec<UncachedSlot<'_>> = Vec::new();
-            if inner.config.batch_enabled && site_plan.supports_batch {
-                let mut by_host: HashMap<String, Vec<UncachedSlot<'_>>> = HashMap::new();
-                for slot in uncached {
-                    by_host
-                        .entry(slot.0.primary.url().authority())
-                        .or_default()
-                        .push(slot);
-                }
-                for (_, group) in by_host {
-                    if group.len() > 1 {
-                        batch_groups.push(group);
-                    } else {
-                        // A one-entry batch pays the envelope overhead for
-                        // nothing — send it as a plain call.
-                        per_call.extend(group);
+            // Misses fold into one wire request per host (a site's instances
+            // may be spread across replica containers). A batch stream
+            // carries any group, even a singleton; the buffered batches only
+            // pay off from two entries up, and a version-0 site takes
+            // per-call getPR.
+            let mut by_host: BTreeMap<String, Vec<UncachedSlot<'_>>> = BTreeMap::new();
+            for slot in uncached {
+                by_host
+                    .entry(slot.0.primary.url().authority())
+                    .or_default()
+                    .push(slot);
+            }
+            for (authority, group) in by_host {
+                let wire = inner.wire_for(site_plan.wire, &authority);
+                let batched =
+                    wire == Wire::BatchStream || (wire > Wire::PerCall && group.len() > 1);
+                let shared = batched && group.len() > 1;
+                // One leg context per wire call: a batch shares one across
+                // its entries (each keeps its own pending slot and hedge
+                // schedule), a per-call target gets its own.
+                let batch_ctx = batched.then(|| {
+                    let ctx = qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0);
+                    match ctx.remaining() {
+                        // A shared batch is one HTTP exchange: an entry
+                        // running right up to the deadline would hold every
+                        // sibling's finished answer past the gather
+                        // deadline. Reserve headroom so the mixed response
+                        // still travels back in time.
+                        Some(rem) if shared => {
+                            let margin = (rem / 8).min(Duration::from_millis(250));
+                            ctx.with_remaining(rem.saturating_sub(margin))
+                        }
+                        _ => ctx,
                     }
-                }
-            } else {
-                per_call = uncached;
-            }
-            let streaming = inner.config.streaming_enabled && site_plan.supports_streaming;
-            // Batched groups ride the interleaved batch-stream wire when the
-            // site advertises it; otherwise the buffered multi-call.
-            let batch_stream = inner.config.streaming_enabled && site_plan.supports_batch_stream;
-            for (target, pr, cache_fill, prefix_rows) in per_call {
-                if inner.config.batch_enabled {
-                    inner.stats.batch_fallback.fetch_add(1, Ordering::Relaxed);
-                }
-                let idx = pending.len();
-                let hedge_at = target
-                    .hedge
-                    .as_ref()
-                    .and(inner.config.hedge_after)
-                    .map(|delay| scatter_start + delay);
-                let primary_ctx = qctx.leg(ppg_context::leg_tag(idx, 0), 0);
-                pending.push(PendingTarget {
-                    site: site_plan.site.clone(),
-                    target: target.clone(),
-                    pr: Arc::clone(&pr),
-                    cache_fill: cache_fill.clone(),
-                    prefix_rows,
-                    deadline: query_deadline,
-                    hedge_at,
-                    hedge_fired: false,
-                    primary_failed: false,
-                    hedge_failed: false,
-                    done: false,
-                    batched: false,
-                    streaming,
-                    primary_ctx: primary_ctx.clone(),
-                    hedge_ctx: None,
                 });
-                self.submit_call(
-                    tx.clone(),
-                    idx,
-                    site_plan.site.clone(),
-                    target.primary.clone(),
-                    pr,
-                    cache_fill,
-                    false,
-                    streaming,
-                    primary_ctx,
-                    Arc::clone(&query_upstream),
-                );
-            }
-            for group in batch_groups {
-                // One shared leg context for the whole wire call; entries
-                // keep their own pending slot (and hedge schedule).
-                let mut shared_ctx = qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0);
-                // A batch is one HTTP exchange: a server-side entry running
-                // right up to the shared deadline would hold every sibling's
-                // finished answer past the gather deadline. Reserve headroom
-                // so the mixed response still travels back in time.
-                if let Some(rem) = shared_ctx.remaining() {
-                    let margin = (rem / 8).min(Duration::from_millis(250));
-                    shared_ctx = shared_ctx.with_remaining(rem.saturating_sub(margin));
-                }
                 let mut members: Vec<BatchMember> = Vec::with_capacity(group.len());
                 for (target, pr, cache_fill, prefix_rows) in group {
                     let idx = pending.len();
-                    let hedge_at = target
-                        .hedge
-                        .as_ref()
-                        .and(inner.config.hedge_after)
-                        .map(|delay| scatter_start + delay);
+                    let primary_ctx = match &batch_ctx {
+                        Some(ctx) => ctx.clone(),
+                        None => qctx.leg(ppg_context::leg_tag(idx, 0), 0),
+                    };
                     pending.push(PendingTarget {
                         site: site_plan.site.clone(),
                         target: target.clone(),
@@ -1134,26 +1045,50 @@ impl FederatedGateway {
                         cache_fill: cache_fill.clone(),
                         prefix_rows,
                         deadline: query_deadline,
-                        hedge_at,
+                        hedge_at: target
+                            .hedge
+                            .as_ref()
+                            .and(inner.config.hedge_after)
+                            .map(|delay| scatter_start + delay),
                         hedge_fired: false,
                         primary_failed: false,
                         hedge_failed: false,
                         done: false,
-                        batched: true,
-                        streaming: false,
-                        primary_ctx: shared_ctx.clone(),
+                        shared,
+                        site_wire: site_plan.wire,
+                        primary_ctx: primary_ctx.clone(),
                         hedge_ctx: None,
                     });
-                    members.push((idx, target.primary.clone(), pr, cache_fill));
+                    if batched {
+                        members.push((idx, target.primary.clone(), pr, cache_fill));
+                    } else {
+                        if site_plan.wire > Wire::PerCall {
+                            inner.stats.batch_fallback.fetch_add(1, Ordering::Relaxed);
+                        }
+                        self.submit_call(
+                            tx.clone(),
+                            idx,
+                            site_plan.site.clone(),
+                            target.primary.clone(),
+                            pr,
+                            cache_fill,
+                            false,
+                            primary_ctx,
+                            Arc::clone(&query_upstream),
+                        );
+                    }
                 }
-                self.submit_batch(
-                    tx.clone(),
-                    site_plan.site.clone(),
-                    members,
-                    batch_stream,
-                    shared_ctx,
-                    Arc::clone(&query_upstream),
-                );
+                if let Some(batch_ctx) = batch_ctx {
+                    self.submit_batch(
+                        tx.clone(),
+                        site_plan.site.clone(),
+                        members,
+                        wire,
+                        false,
+                        batch_ctx,
+                        Arc::clone(&query_upstream),
+                    );
+                }
             }
         }
         let mut remaining = pending.len();
@@ -1193,10 +1128,10 @@ impl FederatedGateway {
                                 inner.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
                                 // The primary lost the race: cancel its leg so
                                 // its site stops burning handler time on an
-                                // answer nobody will read. A batched primary
-                                // shares its context with sibling entries, so
-                                // it must be left to finish.
-                                if !p.primary_failed && !p.batched {
+                                // answer nobody will read. A primary sharing
+                                // its context with sibling entries must be
+                                // left to finish.
+                                if !p.primary_failed && !p.shared {
                                     self.cancel_leg(&p.primary_ctx, &p.target.primary);
                                     inner.stats.hedges_cancelled.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -1244,24 +1179,7 @@ impl FederatedGateway {
                             if p.primary_failed && !p.hedge_fired && p.target.hedge.is_some() {
                                 // Fail fast: don't wait for the hedge delay
                                 // once the primary has definitively failed.
-                                let hedge = p.target.hedge.clone().expect("checked");
-                                p.hedge_fired = true;
-                                inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                                let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
-                                p.hedge_ctx = Some(hedge_ctx.clone());
-                                let (site, fill) = (p.site.clone(), p.cache_fill.clone());
-                                self.submit_call(
-                                    tx.clone(),
-                                    idx,
-                                    site,
-                                    hedge,
-                                    Arc::clone(&p.pr),
-                                    fill,
-                                    true,
-                                    p.streaming,
-                                    hedge_ctx,
-                                    Arc::clone(&query_upstream),
-                                );
+                                self.fire_hedge(p, idx, &qctx, &tx, &query_upstream);
                             } else {
                                 let hedge_pending = p.hedge_fired && !p.hedge_failed;
                                 let primary_pending = !p.primary_failed;
@@ -1284,26 +1202,9 @@ impl FederatedGateway {
                         if p.done {
                             continue;
                         }
-                        if let (Some(hedge_at), Some(hedge)) = (p.hedge_at, p.target.hedge.clone())
-                        {
-                            if !p.hedge_fired && hedge_at <= now {
-                                p.hedge_fired = true;
-                                inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                                let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
-                                p.hedge_ctx = Some(hedge_ctx.clone());
-                                let (site, fill) = (p.site.clone(), p.cache_fill.clone());
-                                self.submit_call(
-                                    tx.clone(),
-                                    idx,
-                                    site,
-                                    hedge,
-                                    Arc::clone(&p.pr),
-                                    fill,
-                                    true,
-                                    p.streaming,
-                                    hedge_ctx,
-                                    Arc::clone(&query_upstream),
-                                );
+                        if let Some(hedge_at) = p.hedge_at {
+                            if !p.hedge_fired && hedge_at <= now && p.target.hedge.is_some() {
+                                self.fire_hedge(p, idx, &qctx, &tx, &query_upstream);
                             }
                         }
                         if p.deadline <= now {
@@ -1314,7 +1215,7 @@ impl FederatedGateway {
                             // the deadline every sibling of a shared batch
                             // context is equally doomed, so cancelling it is
                             // safe — but only once per batch.
-                            if !(p.primary_failed || (p.batched && p.primary_ctx.cancelled())) {
+                            if !(p.primary_failed || (p.shared && p.primary_ctx.cancelled())) {
                                 self.cancel_leg(&p.primary_ctx, &p.target.primary);
                             }
                             if p.hedge_fired && !p.hedge_failed {
@@ -1385,8 +1286,54 @@ impl FederatedGateway {
         });
     }
 
-    /// Queue one target call: single-flight → site permit → retrying `getPR`
-    /// under the leg's context → cache fill → outcome on `tx`.
+    /// Fire `p`'s hedge leg against its replica: a batch of one on a
+    /// batch-stream-capable authority, otherwise a per-call getPR.
+    fn fire_hedge(
+        &self,
+        p: &mut PendingTarget,
+        idx: usize,
+        qctx: &CallContext,
+        tx: &Sender<Outcome>,
+        query_upstream: &Arc<AtomicU64>,
+    ) {
+        let inner = &self.inner;
+        let hedge = p.target.hedge.clone().expect("hedge target present");
+        p.hedge_fired = true;
+        inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
+        let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
+        p.hedge_ctx = Some(hedge_ctx.clone());
+        let wire = inner.wire_for(p.site_wire, &hedge.url().authority());
+        if wire == Wire::BatchStream {
+            let member = (idx, hedge, Arc::clone(&p.pr), p.cache_fill.clone());
+            self.submit_batch(
+                tx.clone(),
+                p.site.clone(),
+                vec![member],
+                wire,
+                true,
+                hedge_ctx,
+                Arc::clone(query_upstream),
+            );
+        } else {
+            if p.site_wire > Wire::PerCall {
+                inner.stats.batch_fallback.fetch_add(1, Ordering::Relaxed);
+            }
+            self.submit_call(
+                tx.clone(),
+                idx,
+                p.site.clone(),
+                hedge,
+                Arc::clone(&p.pr),
+                p.cache_fill.clone(),
+                true,
+                hedge_ctx,
+                Arc::clone(query_upstream),
+            );
+        }
+    }
+
+    /// Queue one per-call target: single-flight → site permit → retrying
+    /// `getPR` under the leg's context → cache fill → outcome on `tx`.
     #[allow(clippy::too_many_arguments)]
     fn submit_call(
         &self,
@@ -1397,7 +1344,6 @@ impl FederatedGateway {
         pr: Arc<PrQuery>,
         cache_fill: Option<CacheFill>,
         hedged: bool,
-        streaming: bool,
         leg_ctx: CallContext,
         query_upstream: Arc<AtomicU64>,
     ) {
@@ -1411,7 +1357,6 @@ impl FederatedGateway {
                 &exec,
                 &pr,
                 cache_fill.as_ref(),
-                streaming,
                 &leg_ctx,
                 &query_upstream,
             );
@@ -1427,17 +1372,18 @@ impl FederatedGateway {
         });
     }
 
-    /// Queue one batched wire call covering several targets on one host:
-    /// per-entry single-flight coalescing → one site permit → one multi-call
-    /// POST → per-entry cache fill and outcomes on `tx`. With `stream`, the
-    /// exchange rides the interleaved batch-stream wire instead (falling
-    /// back to the buffered multi-call when the peer can't).
+    /// Queue one batched wire call covering one or more targets on one
+    /// host: per-entry single-flight coalescing → one site permit → one
+    /// exchange opening on `wire` → per-entry cache fill and outcomes on
+    /// `tx` (tagged `hedged` for a hedge leg's batch of one).
+    #[allow(clippy::too_many_arguments)]
     fn submit_batch(
         &self,
         tx: Sender<Outcome>,
         site: String,
         members: Vec<BatchMember>,
-        stream: bool,
+        wire: Wire,
+        hedged: bool,
         leg_ctx: CallContext,
         query_upstream: Arc<AtomicU64>,
     ) {
@@ -1445,18 +1391,15 @@ impl FederatedGateway {
         self.pool.submit(move || {
             let started = Instant::now();
             inner.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-            let results = if stream {
-                run_batch_stream_flight(&inner, &site, &members, &leg_ctx, &query_upstream)
-            } else {
-                run_batch_flight(&inner, &site, &members, &leg_ctx, &query_upstream)
-            };
+            let results =
+                run_batch_flight(&inner, &site, &members, wire, &leg_ctx, &query_upstream);
             inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
             let failed = results.iter().any(|(_, r)| r.is_err());
             inner.stats.record_site(&site, started.elapsed(), failed);
             for (idx, result) in results {
                 let _ = tx.send(Outcome {
                     idx,
-                    hedged: false,
+                    hedged,
                     result,
                 });
             }
@@ -1464,15 +1407,27 @@ impl FederatedGateway {
     }
 }
 
-/// One batched flight: each entry still joins the per-tuple single-flight
-/// group (followers adopt the leader's published outcome and stay off the
-/// wire), then every remaining leader rides one multi-call exchange under a
-/// single site permit. Per-entry faults map back to per-entry errors; a
-/// whole-batch failure fails every leader the same way.
+/// The error kind a per-entry fault maps to: deadline and cancel faults are
+/// timeouts, anything else a site fault.
+fn fault_kind(fault: &Fault) -> SiteErrorKind {
+    if fault.is_deadline_exceeded() || fault.is_cancelled() {
+        SiteErrorKind::Timeout
+    } else {
+        SiteErrorKind::Fault
+    }
+}
+
+/// One batched flight: each entry joins the per-tuple single-flight group
+/// once (followers adopt the leader's published outcome and stay off the
+/// wire), then every remaining leader rides one exchange under a single
+/// site permit, opening on `wire`. Per-entry faults map back to per-entry
+/// errors; a whole-batch failure fails every leader the same way. Every
+/// held token is published exactly once, whichever rung carried the batch.
 fn run_batch_flight(
     inner: &Arc<Inner>,
     site: &str,
     members: &[BatchMember],
+    wire: Wire,
     leg_ctx: &CallContext,
     query_upstream: &Arc<AtomicU64>,
 ) -> Vec<(usize, FlightResult)> {
@@ -1485,15 +1440,38 @@ fn run_batch_flight(
     if leaders.is_empty() {
         return results;
     }
-    run_buffered_batch_wire(
-        inner,
-        site,
-        leaders,
-        leg_ctx,
-        query_upstream,
-        started,
-        &mut results,
-    );
+    let span_base = leg_ctx.span_count();
+    // One permit covers the whole exchange: from the site's point of view
+    // a batch is one upstream request, whatever its entry count or wire.
+    let exchanged = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
+        None => {
+            leg_ctx.record_span(
+                "gateway.batch",
+                "multiCall",
+                site,
+                started,
+                "deadline-exceeded",
+            );
+            Err((
+                SiteErrorKind::Timeout,
+                format!("no {site} permit became free before the deadline"),
+            ))
+        }
+        Some(_permit) => exchange_batch(inner, site, &leaders, wire, leg_ctx, query_upstream),
+    };
+    let mut spans = leg_ctx.spans();
+    let flight_spans = spans.split_off(span_base.min(spans.len()));
+    let per_leader: Vec<FlightResult> = match exchanged {
+        Ok(per_leader) => per_leader,
+        Err(failure) => vec![Err(failure); leaders.len()],
+    };
+    for ((idx, _, _, _, token), result) in leaders.into_iter().zip(per_leader) {
+        inner.flights.publish(
+            token,
+            FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
+        );
+        results.push((idx, result));
+    }
     results
 }
 
@@ -1571,315 +1549,31 @@ fn join_batch_leaders(
     leaders
 }
 
-/// Publish the same failure to every held leader token and mirror it into
-/// `results`. Spans recorded since `span_base` travel with the published
-/// outcome so followers can adopt them.
-fn publish_batch_failure(
-    inner: &Arc<Inner>,
-    leaders: Vec<BatchLeader>,
-    leg_ctx: &CallContext,
-    span_base: usize,
-    kind: SiteErrorKind,
-    detail: String,
-    results: &mut Vec<(usize, FlightResult)>,
-) {
-    let mut spans = leg_ctx.spans();
-    let flight_spans = spans.split_off(span_base.min(spans.len()));
-    for (idx, _, _, _, token) in leaders {
-        let result: FlightResult = Err((kind, detail.clone()));
-        inner.flights.publish(
-            token,
-            FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-        );
-        results.push((idx, result));
-    }
-}
-
-/// The buffered (multi-call) wire phase for leaders that already hold their
-/// single-flight tokens: one site permit, one multi-call POST, per-entry
-/// cache fills, and every token published exactly once. Shared between
-/// `run_batch_flight` and the batch-stream flight's downgrade path — the
-/// latter must not re-enter `run_batch_flight`, which would try to re-join
-/// the very flight keys its leaders already hold.
-fn run_buffered_batch_wire(
-    inner: &Arc<Inner>,
-    site: &str,
-    leaders: Vec<BatchLeader>,
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-    started: Instant,
-    results: &mut Vec<(usize, FlightResult)>,
-) {
-    let span_base = leg_ctx.span_count();
-    // One permit covers the whole wire call: a batch is one upstream request
-    // from the site's point of view, whatever its entry count.
-    let wire_outcomes: std::result::Result<Vec<BatchOutcome>, (SiteErrorKind, String)> =
-        match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
-            None => {
-                leg_ctx.record_span(
-                    "gateway.batch",
-                    "multiCall",
-                    site,
-                    started,
-                    "deadline-exceeded",
-                );
-                Err((
-                    SiteErrorKind::Timeout,
-                    format!("no {site} permit became free before the deadline"),
-                ))
-            }
-            Some(_permit) => {
-                let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
-                let entries: Vec<BatchEntry> = leaders
-                    .iter()
-                    .map(|(_, exec, pr, _, _)| {
-                        BatchEntry::new(
-                            exec.url().path,
-                            "getPR",
-                            EXECUTION_NS,
-                            &ExecutionStub::pr_params(pr),
-                        )
-                    })
-                    .collect();
-                let mut attempt = 0u32;
-                loop {
-                    if leg_ctx.expired() {
-                        break Err((
-                            SiteErrorKind::Timeout,
-                            format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-                        ));
-                    }
-                    inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-                    query_upstream.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.batched_calls.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .stats
-                        .batch_entries
-                        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                    // The codec-negotiating path opens with (or re-uses) the
-                    // binary plane when enabled; `with_binary(false)` pins
-                    // every batch to XML.
-                    let exchanged = if inner.config.binary_enabled {
-                        stub.call_batch_auto(&entries, leg_ctx)
-                    } else {
-                        stub.call_batch(&entries, leg_ctx)
-                            .map(|outcomes| (outcomes, BatchWire::Xml))
-                    };
-                    match exchanged {
-                        Ok((outcomes, wire)) => {
-                            match wire {
-                                BatchWire::Binary => {
-                                    inner.stats.binary_calls.fetch_add(1, Ordering::Relaxed);
-                                    inner
-                                        .stats
-                                        .binary_entries
-                                        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                                }
-                                BatchWire::BinaryFallback => {
-                                    inner.stats.binary_fallbacks.fetch_add(1, Ordering::Relaxed);
-                                }
-                                BatchWire::Xml => {}
-                            }
-                            if outcomes.len() == entries.len() {
-                                break Ok(outcomes);
-                            }
-                            break Err((
-                                SiteErrorKind::Fault,
-                                format!(
-                                    "multiCall answered {} entries for {} sub-calls",
-                                    outcomes.len(),
-                                    entries.len()
-                                ),
-                            ));
-                        }
-                        Err(e) => {
-                            let (kind, retryable) = classify(&e);
-                            if retryable && attempt < inner.config.retries {
-                                attempt += 1;
-                                let backoff = inner.config.backoff * (1 << attempt.min(6));
-                                if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                                    break Err((
-                                        SiteErrorKind::Timeout,
-                                        format!("{e} (budget exhausted during retry backoff)"),
-                                    ));
-                                }
-                                std::thread::sleep(backoff);
-                                continue;
-                            }
-                            break Err((kind, e.to_string()));
-                        }
-                    }
-                }
-            }
-        };
-    let mut spans = leg_ctx.spans();
-    let flight_spans = spans.split_off(span_base.min(spans.len()));
-    match wire_outcomes {
-        Ok(outcomes) => {
-            for ((idx, _, _, cache_fill, token), entry_outcome) in leaders.into_iter().zip(outcomes)
-            {
-                let result: FlightResult = match entry_outcome {
-                    Ok(value) => match value.into_str_array() {
-                        Some(entry_rows) => {
-                            let entry_rows = Arc::new(entry_rows);
-                            if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
-                                inner.cache.insert(
-                                    &fill.series,
-                                    fill.window,
-                                    Arc::clone(&entry_rows),
-                                );
-                                inner
-                                    .site_keys
-                                    .lock()
-                                    .entry(site.to_owned())
-                                    .or_default()
-                                    .insert(fill.series);
-                            }
-                            Ok(FlightRows::complete(entry_rows))
-                        }
-                        None => Err((
-                            SiteErrorKind::Fault,
-                            "batched getPR returned a non-array".to_owned(),
-                        )),
-                    },
-                    Err(fault) => {
-                        let kind = if fault.is_deadline_exceeded() || fault.is_cancelled() {
-                            SiteErrorKind::Timeout
-                        } else {
-                            SiteErrorKind::Fault
-                        };
-                        Err((kind, fault.to_string()))
-                    }
-                };
-                inner.flights.publish(
-                    token,
-                    FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-                );
-                results.push((idx, result));
-            }
-        }
-        Err((kind, detail)) => {
-            for (idx, _, _, _, token) in leaders {
-                let result: FlightResult = Err((kind, detail.clone()));
-                inner.flights.publish(
-                    token,
-                    FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-                );
-                results.push((idx, result));
-            }
-        }
-    }
-}
-
-/// How one batch-stream wire attempt resolved.
-enum BatchStreamAttempt {
-    /// Per-leader flight results, aligned with the leaders that rode the
-    /// stream.
+/// How one wire attempt of a batch ended.
+enum Exchange {
+    /// Per-leader results, aligned with the leaders.
     Done(Vec<FlightResult>),
-    /// The peer does not speak the batch-stream wire (missing route or a
-    /// buffered answer): re-send the held leaders buffered.
+    /// The peer does not speak this wire (404, a non-stream or non-binary
+    /// answer, a corrupt frame before any rows): step down a rung.
     Downgrade,
-    /// A pre-row failure that applies to every leader alike.
-    Failed(SiteErrorKind, String),
 }
 
-/// One batched flight over the interleaved stream wire: the same join and
-/// permit discipline as `run_batch_flight`, but the exchange is a single
-/// `POST /ogsa/batch-stream` whose per-entry row frames merge into the
-/// cache as they arrive (frontier-gated, per entry). `PPG_FORCE_XML=1` and
-/// authorities that already proved they can't batch-stream delegate to the
-/// buffered flight before joining anything; a live downgrade is remembered
-/// per authority and the already-held leaders re-ride the buffered wire
-/// inline, so single-flight followers never notice.
-fn run_batch_stream_flight(
-    inner: &Arc<Inner>,
-    site: &str,
-    members: &[BatchMember],
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-) -> Vec<(usize, FlightResult)> {
-    let authority = members
-        .first()
-        .map(|(_, exec, _, _)| exec.url().authority())
-        .unwrap_or_default();
-    let force_xml = std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1");
-    if force_xml || inner.no_batch_stream.lock().contains(&authority) {
-        return run_batch_flight(inner, site, members, leg_ctx, query_upstream);
-    }
-    let started = Instant::now();
-    let mut results: Vec<(usize, FlightResult)> = Vec::with_capacity(members.len());
-    if fail_expired_members(site, members, leg_ctx, started, &mut results) {
-        return results;
-    }
-    let leaders = join_batch_leaders(inner, site, members, leg_ctx, started, &mut results);
-    if leaders.is_empty() {
-        return results;
-    }
-    let span_base = leg_ctx.span_count();
-    // One permit covers the stream for its whole lifetime: from the site's
-    // point of view an interleaved batch is still one upstream request.
-    let attempt = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
-        None => BatchStreamAttempt::Failed(
-            SiteErrorKind::Timeout,
-            format!("no {site} permit became free before the deadline"),
-        ),
-        Some(_permit) => run_batch_stream_wire(inner, site, &leaders, leg_ctx, query_upstream),
-    };
-    match attempt {
-        BatchStreamAttempt::Done(outcomes) => {
-            let mut spans = leg_ctx.spans();
-            let flight_spans = spans.split_off(span_base.min(spans.len()));
-            for ((idx, _, _, _, token), result) in leaders.into_iter().zip(outcomes) {
-                inner.flights.publish(
-                    token,
-                    FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-                );
-                results.push((idx, result));
-            }
-        }
-        BatchStreamAttempt::Downgrade => {
-            inner
-                .stats
-                .batch_stream_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            inner.no_batch_stream.lock().insert(authority);
-            run_buffered_batch_wire(
-                inner,
-                site,
-                leaders,
-                leg_ctx,
-                query_upstream,
-                started,
-                &mut results,
-            );
-        }
-        BatchStreamAttempt::Failed(kind, detail) => {
-            publish_batch_failure(
-                inner,
-                leaders,
-                leg_ctx,
-                span_base,
-                kind,
-                detail,
-                &mut results,
-            );
-        }
-    }
-    results
-}
-
-/// Drive one `multiCallStream` exchange for the held leaders. Row frames
-/// are accumulated per entry and merged into the cache under the same
-/// frontier discipline as the single-call stream path: in-order frames
-/// claim their clamped window immediately; an out-of-order frame poisons
-/// only that entry's series (remove + stop claiming), never its siblings.
-fn run_batch_stream_wire(
+/// The wire phase for leaders that already hold their single-flight
+/// tokens. Each attempt rides the current rung; a downgrade steps down
+/// inline (batch stream → binary batch → XML batch) and the authority
+/// remembers the rung, so single-flight followers never notice. Transport
+/// failures retry with backoff charged against the leg budget — the stub
+/// only errors before any row arrived, so a retry starts from a clean
+/// slate with no partial cache claims to unwind.
+fn exchange_batch(
     inner: &Arc<Inner>,
     site: &str,
     leaders: &[BatchLeader],
+    mut wire: Wire,
     leg_ctx: &CallContext,
     query_upstream: &Arc<AtomicU64>,
-) -> BatchStreamAttempt {
+) -> Result<Vec<FlightResult>, (SiteErrorKind, String)> {
+    let authority = leaders[0].1.url().authority();
     let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
     let entries: Vec<BatchEntry> = leaders
         .iter()
@@ -1895,174 +1589,245 @@ fn run_batch_stream_wire(
     let mut attempt = 0u32;
     loop {
         if leg_ctx.expired() {
-            break BatchStreamAttempt::Failed(
+            return Err((
                 SiteErrorKind::Timeout,
                 format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-            );
+            ));
         }
         inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
         query_upstream.fetch_add(1, Ordering::Relaxed);
-        // Per-entry accumulation and incremental cache state. Streaming
-        // merges only make sense for single-focus queries (multi-focus rows
-        // interleave foci within one frame), mirroring the per-call path.
-        let mut entry_rows: Vec<Vec<String>> = vec![Vec::new(); leaders.len()];
-        let mut frame_fills: Vec<Option<CacheFill>> = leaders
-            .iter()
-            .map(|(_, _, pr, fill, _)| {
-                if inner.config.cache_enabled && pr.foci.len() <= 1 {
-                    fill.clone()
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut frontiers = vec![f64::NEG_INFINITY; leaders.len()];
-        let exchanged = stub.call_batch_stream(&entries, leg_ctx, &mut |entry, frame| {
-            let keep = if let Some(fill) = &frame_fills[entry] {
-                match frame_window(&frame) {
-                    Some((lo, hi)) if lo >= frontiers[entry] => {
-                        frontiers[entry] = hi;
-                        let claim = (lo.max(fill.window.0), hi.min(fill.window.1));
-                        if claim.0 <= claim.1 {
-                            inner
-                                .cache
-                                .insert(&fill.series, claim, Arc::new(frame.clone()));
-                            inner
-                                .site_keys
-                                .lock()
-                                .entry(site.to_owned())
-                                .or_default()
-                                .insert(fill.series.clone());
-                        }
-                        true
-                    }
-                    _ => {
-                        // Unspanned or regressing frame: the incremental
-                        // claims already made may overlap it, so drop the
-                        // series and stop claiming for this entry.
-                        inner.cache.remove(&fill.series);
-                        false
-                    }
-                }
-            } else {
-                true
-            };
-            if !keep {
-                frame_fills[entry] = None;
-            }
-            entry_rows[entry].extend(frame);
-            !leg_ctx.expired()
-        });
+        let exchanged = if wire == Wire::BatchStream {
+            stream_batch(inner, site, &stub, &entries, leaders, leg_ctx)
+        } else {
+            buffered_batch(inner, site, &stub, &entries, leaders, wire, leg_ctx)
+        };
         match exchanged {
-            Ok(Some(streamed)) => {
-                inner.stats.batch_streams.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .stats
-                    .batch_stream_entries
-                    .fetch_add(leaders.len() as u64, Ordering::Relaxed);
-                let mut flight_results: Vec<FlightResult> =
-                    Vec::with_capacity(streamed.entries.len());
-                for (i, outcome) in streamed.entries.iter().enumerate() {
-                    let (_, _, _, cache_fill, _) = &leaders[i];
-                    let rows = std::mem::take(&mut entry_rows[i]);
-                    flight_results.push(match outcome {
-                        BatchStreamEntryOutcome::Done { .. } => {
-                            let rows = Arc::new(rows);
-                            if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
-                                // The sealed entry covers its whole window
-                                // even where sparse rows left gaps between
-                                // the incremental claims.
-                                inner.cache.insert(&fill.series, fill.window, Arc::clone(&rows));
-                                inner
-                                    .site_keys
-                                    .lock()
-                                    .entry(site.to_owned())
-                                    .or_default()
-                                    .insert(fill.series.clone());
-                            }
-                            Ok(FlightRows::complete(rows))
-                        }
-                        BatchStreamEntryOutcome::Fault(fault) => {
-                            let kind = if fault.is_deadline_exceeded() || fault.is_cancelled() {
-                                SiteErrorKind::Timeout
-                            } else {
-                                SiteErrorKind::Fault
-                            };
-                            Err((kind, fault.to_string()))
-                        }
-                        BatchStreamEntryOutcome::Truncated { rows: delivered, detail } => {
-                            inner
-                                .stats
-                                .batch_stream_truncated
-                                .fetch_add(1, Ordering::Relaxed);
-                            if streamed.cancelled {
-                                Err((
-                                    SiteErrorKind::Timeout,
-                                    format!(
-                                        "stream abandoned at a frame boundary after {} rows (leg {})",
-                                        rows.len(),
-                                        leg_ctx.leg_tag()
-                                    ),
-                                ))
-                            } else if rows.is_empty() {
-                                // A rowless truncation after the budget ran
-                                // out is the deadline's doing, not the
-                                // site's.
-                                let kind = if leg_ctx.expired() {
-                                    SiteErrorKind::Timeout
-                                } else {
-                                    SiteErrorKind::Unreachable
-                                };
-                                Err((kind, detail.clone()))
-                            } else {
-                                Ok(FlightRows::truncated(
-                                    Arc::new(rows),
-                                    format!("entry stream died after {delivered} rows: {detail}"),
-                                ))
-                            }
-                        }
-                    });
-                }
-                break BatchStreamAttempt::Done(flight_results);
+            Ok(Exchange::Done(results)) => return Ok(results),
+            Ok(Exchange::Downgrade) => {
+                let fallbacks = if wire == Wire::BatchStream {
+                    &inner.stats.batch_stream_fallbacks
+                } else {
+                    &inner.stats.binary_fallbacks
+                };
+                fallbacks.fetch_add(1, Ordering::Relaxed);
+                wire = wire.step_down();
+                inner.remember_downgrade(&authority, wire);
             }
-            Ok(None) => break BatchStreamAttempt::Downgrade,
             Err(e) => {
-                // The stub only errors before any row arrived, so a retry
-                // starts from a clean slate — no partial cache claims to
-                // unwind.
                 let (kind, retryable) = classify(&e);
-                if retryable && attempt < inner.config.retries {
-                    attempt += 1;
-                    let backoff = inner.config.backoff * (1 << attempt.min(6));
-                    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                        break BatchStreamAttempt::Failed(
-                            SiteErrorKind::Timeout,
-                            format!("{e} (budget exhausted during retry backoff)"),
-                        );
-                    }
-                    std::thread::sleep(backoff);
-                    continue;
+                if !retryable || attempt >= inner.config.retries {
+                    return Err((kind, e.to_string()));
                 }
-                break BatchStreamAttempt::Failed(kind, e.to_string());
+                attempt += 1;
+                let backoff = inner.config.backoff * (1 << attempt.min(6));
+                if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
+                    return Err((
+                        SiteErrorKind::Timeout,
+                        format!("{e} (budget exhausted during retry backoff)"),
+                    ));
+                }
+                std::thread::sleep(backoff);
             }
         }
     }
 }
 
-/// One leg's upstream flight: coalesce with identical in-flight tuples,
-/// acquire the site permit within the leg's budget, then call `getPR` with
-/// retries whose backoff is charged against the remaining budget. With
-/// `streaming`, the call consumes the site's incremental result stream
-/// instead of a buffered body (unless this authority already proved it
-/// can't stream).
-#[allow(clippy::too_many_arguments)]
+/// One buffered multi-call exchange (binary PPGB on
+/// [`Wire::BinaryBatch`], XML otherwise): per-entry outcomes map to flight
+/// results, each successful entry filling the cache.
+fn buffered_batch(
+    inner: &Arc<Inner>,
+    site: &str,
+    stub: &ServiceStub,
+    entries: &[BatchEntry],
+    leaders: &[BatchLeader],
+    wire: Wire,
+    leg_ctx: &CallContext,
+) -> pperf_ogsi::Result<Exchange> {
+    let outcomes: Vec<BatchOutcome> = if wire == Wire::BinaryBatch {
+        let Some(outcomes) = stub.call_batch_binary(entries, leg_ctx)? else {
+            return Ok(Exchange::Downgrade);
+        };
+        inner.stats.binary_calls.fetch_add(1, Ordering::Relaxed);
+        inner
+            .stats
+            .binary_entries
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
+        outcomes
+    } else {
+        stub.call_batch(entries, leg_ctx)?
+    };
+    inner.stats.batched_calls.fetch_add(1, Ordering::Relaxed);
+    inner
+        .stats
+        .batch_entries
+        .fetch_add(entries.len() as u64, Ordering::Relaxed);
+    if outcomes.len() != entries.len() {
+        let detail = format!(
+            "multiCall answered {} entries for {} sub-calls",
+            outcomes.len(),
+            entries.len()
+        );
+        return Ok(Exchange::Done(vec![
+            Err((SiteErrorKind::Fault, detail));
+            leaders.len()
+        ]));
+    }
+    let results = leaders
+        .iter()
+        .zip(outcomes)
+        .map(|((_, _, _, cache_fill, _), outcome)| {
+            let value = outcome.map_err(|fault| (fault_kind(&fault), fault.to_string()))?;
+            let rows = value.into_str_array().ok_or_else(|| {
+                (
+                    SiteErrorKind::Fault,
+                    "batched getPR returned a non-array".to_owned(),
+                )
+            })?;
+            let rows = Arc::new(rows);
+            if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
+                inner.fill_cache(site, &fill.series, fill.window, Arc::clone(&rows));
+            }
+            Ok(FlightRows::complete(rows))
+        })
+        .collect();
+    Ok(Exchange::Done(results))
+}
+
+/// One `multiCallStream` exchange. Row frames are accumulated per entry and
+/// merged into the cache as they land (so an entry that dies mid-scan
+/// still leaves its delivered prefix cached): each frame may claim the
+/// window its own rows span solely because no later frame of a
+/// single-focus, time-monotone scan can reach back into it. An
+/// out-of-order (or unspanned) frame poisons only that entry's series
+/// (remove + stop claiming), never its siblings'. A sealed entry then
+/// claims its whole window; a truncated one keeps only its frame claims.
+fn stream_batch(
+    inner: &Arc<Inner>,
+    site: &str,
+    stub: &ServiceStub,
+    entries: &[BatchEntry],
+    leaders: &[BatchLeader],
+    leg_ctx: &CallContext,
+) -> pperf_ogsi::Result<Exchange> {
+    let mut entry_rows: Vec<Vec<String>> = vec![Vec::new(); leaders.len()];
+    // Multi-focus rows restart time once per focus within one entry, so
+    // frame claims are only sound for single-focus tuples.
+    let mut frame_fills: Vec<Option<CacheFill>> = leaders
+        .iter()
+        .map(|(_, _, pr, fill, _)| {
+            if inner.config.cache_enabled && pr.foci.len() <= 1 {
+                fill.clone()
+            } else {
+                None
+            }
+        })
+        .collect();
+    let mut frontiers = vec![f64::NEG_INFINITY; leaders.len()];
+    let streamed = stub.call_batch_stream(entries, leg_ctx, &mut |entry, frame| {
+        if let Some(fill) = &frame_fills[entry] {
+            match frame_window(&frame) {
+                Some((lo, hi)) if lo >= frontiers[entry] => {
+                    frontiers[entry] = hi;
+                    // Clamp the claim to the fetched window: a row's span
+                    // may poke past the query bounds, but rows beyond them
+                    // were never fetched.
+                    let claim = (lo.max(fill.window.0), hi.min(fill.window.1));
+                    if claim.0 <= claim.1 {
+                        inner.fill_cache(site, &fill.series, claim, Arc::new(frame.clone()));
+                    }
+                }
+                _ => {
+                    inner.cache.remove(&fill.series);
+                    frame_fills[entry] = None;
+                }
+            }
+        }
+        entry_rows[entry].extend(frame);
+        // Frame-boundary cancellation: a spent budget (deadline or a lost
+        // hedge race) stops the pull here; the stub drops the connection
+        // and the producers notice their reader is gone.
+        !leg_ctx.expired()
+    })?;
+    let Some(streamed) = streamed else {
+        return Ok(Exchange::Downgrade);
+    };
+    inner.stats.batch_streams.fetch_add(1, Ordering::Relaxed);
+    inner
+        .stats
+        .batch_stream_entries
+        .fetch_add(leaders.len() as u64, Ordering::Relaxed);
+    let results = streamed
+        .entries
+        .into_iter()
+        .zip(leaders)
+        .zip(entry_rows)
+        .map(
+            |((outcome, (_, _, _, cache_fill, _)), rows)| match outcome {
+                BatchStreamEntryOutcome::Done { .. } => {
+                    let rows = Arc::new(rows);
+                    if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
+                        // The sealed entry covers its whole window even where
+                        // sparse rows left gaps between the frame claims.
+                        inner.fill_cache(site, &fill.series, fill.window, Arc::clone(&rows));
+                    }
+                    Ok(FlightRows::complete(rows))
+                }
+                BatchStreamEntryOutcome::Fault(fault) => {
+                    Err((fault_kind(&fault), fault.to_string()))
+                }
+                BatchStreamEntryOutcome::Truncated {
+                    rows: delivered,
+                    detail,
+                } => {
+                    inner
+                        .stats
+                        .batch_stream_truncated
+                        .fetch_add(1, Ordering::Relaxed);
+                    if streamed.cancelled {
+                        Err((
+                            SiteErrorKind::Timeout,
+                            format!(
+                                "stream abandoned at a frame boundary after {} rows (leg {})",
+                                rows.len(),
+                                leg_ctx.leg_tag()
+                            ),
+                        ))
+                    } else if rows.is_empty() {
+                        // Nothing arrived before the entry died: a plain
+                        // failure, nothing partial about it — and after the
+                        // budget ran out, the deadline's doing, not the site's.
+                        let kind = if leg_ctx.expired() {
+                            SiteErrorKind::Timeout
+                        } else {
+                            SiteErrorKind::Unreachable
+                        };
+                        Err((kind, detail))
+                    } else {
+                        // Partial result: the delivered prefix stands (and its
+                        // frame claims survive), but no whole-window claim.
+                        Ok(FlightRows::truncated(
+                            Arc::new(rows),
+                            format!("entry stream died after {delivered} rows: {detail}"),
+                        ))
+                    }
+                }
+            },
+        )
+        .collect();
+    Ok(Exchange::Done(results))
+}
+
+/// One per-call leg's upstream flight: coalesce with identical in-flight
+/// tuples, acquire the site permit within the leg's budget, then call
+/// `getPR` with retries whose backoff is charged against the remaining
+/// budget.
 fn run_flight(
     inner: &Arc<Inner>,
     site: &str,
     exec: &Gsh,
     pr: &Arc<PrQuery>,
     cache_fill: Option<&CacheFill>,
-    streaming: bool,
     leg_ctx: &CallContext,
     query_upstream: &Arc<AtomicU64>,
 ) -> FlightResult {
@@ -2105,9 +1870,6 @@ fn run_flight(
             // the trace, so a rare interleaved sibling span may ride along —
             // acceptable for diagnostic data.
             let span_base = leg_ctx.span_count();
-            // Skip the stream probe against authorities that already fell
-            // back once — they answer buffered anyway.
-            let use_stream = streaming && !inner.no_stream.lock().contains(&exec.url().authority());
             let outcome = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
                 None => {
                     leg_ctx.record_span(
@@ -2124,72 +1886,44 @@ fn run_flight(
                 }
                 Some(_permit) => {
                     let stub = ExecutionStub::bind(Arc::clone(&inner.client), exec);
-                    if use_stream {
-                        run_stream_leader(
-                            inner,
-                            site,
-                            exec,
-                            &stub,
-                            pr,
-                            cache_fill,
-                            leg_ctx,
-                            query_upstream,
-                        )
-                    } else {
-                        let mut attempt = 0u32;
-                        loop {
-                            if leg_ctx.expired() {
-                                break Err((
-                                    SiteErrorKind::Timeout,
-                                    format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-                                ));
-                            }
-                            inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-                            query_upstream.fetch_add(1, Ordering::Relaxed);
-                            match stub.get_pr_with_context(pr, leg_ctx) {
-                                Ok(rows) => {
-                                    break Ok(FlightRows::complete(Arc::new(rows)));
-                                }
-                                Err(e) => {
-                                    let (kind, retryable) = classify(&e);
-                                    if retryable && attempt < inner.config.retries {
-                                        attempt += 1;
-                                        let backoff = inner.config.backoff * (1 << attempt.min(6));
-                                        // The budget only shrinks: a retry whose
-                                        // backoff would outlive it is pointless.
-                                        if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                                            break Err((
-                                                SiteErrorKind::Timeout,
-                                                format!(
-                                                    "{e} (budget exhausted during retry backoff)"
-                                                ),
-                                            ));
-                                        }
-                                        std::thread::sleep(backoff);
-                                        continue;
+                    let mut attempt = 0u32;
+                    loop {
+                        if leg_ctx.expired() {
+                            break Err((
+                                SiteErrorKind::Timeout,
+                                format!("leg {} expired before attempt", leg_ctx.leg_tag()),
+                            ));
+                        }
+                        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
+                        query_upstream.fetch_add(1, Ordering::Relaxed);
+                        match stub.get_pr_with_context(pr, leg_ctx) {
+                            Ok(rows) => break Ok(FlightRows::complete(Arc::new(rows))),
+                            Err(e) => {
+                                let (kind, retryable) = classify(&e);
+                                if retryable && attempt < inner.config.retries {
+                                    attempt += 1;
+                                    let backoff = inner.config.backoff * (1 << attempt.min(6));
+                                    // The budget only shrinks: a retry whose
+                                    // backoff would outlive it is pointless.
+                                    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
+                                        break Err((
+                                            SiteErrorKind::Timeout,
+                                            format!("{e} (budget exhausted during retry backoff)"),
+                                        ));
                                     }
-                                    break Err((kind, e.to_string()));
+                                    std::thread::sleep(backoff);
+                                    continue;
                                 }
+                                break Err((kind, e.to_string()));
                             }
                         }
                     }
                 }
             };
-            // The buffered path fills the cache here; the streaming path
-            // already did its own (per-frame + trailer) inserts, and a
-            // truncated stream's coverage is unknown, so neither re-inserts.
-            if let (Ok(flight), Some(fill)) = (&outcome, cache_fill) {
-                if inner.config.cache_enabled && !use_stream && !flight.truncated {
-                    inner
-                        .cache
-                        .insert(&fill.series, fill.window, Arc::clone(&flight.rows));
-                    inner
-                        .site_keys
-                        .lock()
-                        .entry(site.to_owned())
-                        .or_default()
-                        .insert(fill.series.clone());
-                }
+            if let (Ok(flight), Some(fill), true) =
+                (&outcome, cache_fill, inner.config.cache_enabled)
+            {
+                inner.fill_cache(site, &fill.series, fill.window, Arc::clone(&flight.rows));
             }
             let mut spans = leg_ctx.spans();
             let flight_spans = spans.split_off(span_base.min(spans.len()));
@@ -2213,184 +1947,4 @@ fn frame_window(rows: &[String]) -> Option<(f64, f64)> {
         hi = hi.max(e);
     }
     (lo <= hi).then_some((lo, hi))
-}
-
-/// One streamed `getPR` leg: consume the site's incremental result stream,
-/// merging each frame into the segment cache as it lands (so a stream that
-/// dies mid-scan still leaves its delivered prefix cached), accumulate the
-/// full row set, and classify the ending — clean trailer, transparent
-/// buffered fallback, truncation (partial result), or error. Pre-row
-/// transport failures retry like the buffered path; once rows have been
-/// delivered there is no retry (a replay would re-deliver them), the stream's
-/// verdict stands.
-#[allow(clippy::too_many_arguments)]
-fn run_stream_leader(
-    inner: &Arc<Inner>,
-    site: &str,
-    exec: &Gsh,
-    stub: &ExecutionStub,
-    pr: &Arc<PrQuery>,
-    cache_fill: Option<&CacheFill>,
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-) -> FlightResult {
-    let mut attempt = 0u32;
-    loop {
-        if leg_ctx.expired() {
-            break Err((
-                SiteErrorKind::Timeout,
-                format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-            ));
-        }
-        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-        query_upstream.fetch_add(1, Ordering::Relaxed);
-        let mut rows: Vec<String> = Vec::new();
-        // Per-frame cache merges are sound only for single-focus tuples (a
-        // multi-foci scan restarts time once per focus) and only while the
-        // frame sequence stays monotone in time: each frame may claim the
-        // window its own rows span solely because no later frame's row can
-        // reach back into it. The first violation drops the series and stops
-        // merging; the trailer-time full-window insert still happens.
-        let mut frame_fill = if inner.config.cache_enabled && pr.foci.len() <= 1 {
-            cache_fill.cloned()
-        } else {
-            None
-        };
-        let mut frontier = f64::NEG_INFINITY;
-        let mut frames = 0u64;
-        let outcome = stub.get_pr_stream(pr, leg_ctx, &mut |frame: Vec<String>| {
-            frames += 1;
-            if let Some(fill) = &frame_fill {
-                match frame_window(&frame) {
-                    Some((lo, hi)) if lo >= frontier => {
-                        frontier = hi;
-                        // Clamp the claim to the fetched window: a row's span
-                        // may poke past the query bounds, but rows beyond
-                        // them were never fetched.
-                        let claim = (lo.max(fill.window.0), hi.min(fill.window.1));
-                        if claim.0 <= claim.1 {
-                            inner
-                                .cache
-                                .insert(&fill.series, claim, Arc::new(frame.clone()));
-                            inner
-                                .site_keys
-                                .lock()
-                                .entry(site.to_owned())
-                                .or_default()
-                                .insert(fill.series.clone());
-                        }
-                    }
-                    _ => {
-                        // Out-of-order frame (or an unparseable span): the
-                        // per-frame claims made so far may be wrong — retract
-                        // the series and stop merging.
-                        inner.cache.remove(&fill.series);
-                        frame_fill = None;
-                    }
-                }
-            }
-            rows.extend(frame);
-            // Frame-boundary cancellation: a spent budget (deadline or a
-            // lost hedge race) stops the pull here; the stub drops the
-            // connection and the producer notices its reader is gone.
-            !leg_ctx.expired()
-        });
-        match outcome {
-            Ok(so) => {
-                match so.wire {
-                    StreamWire::Stream => {
-                        inner.stats.streams.fetch_add(1, Ordering::Relaxed);
-                        inner
-                            .stats
-                            .stream_frames
-                            .fetch_add(frames, Ordering::Relaxed);
-                        inner
-                            .stats
-                            .stream_rows
-                            .fetch_add(so.rows, Ordering::Relaxed);
-                    }
-                    StreamWire::StreamFallback => {
-                        // Legacy peer: remember the authority so later calls
-                        // go buffered without the dead probe.
-                        inner.stats.stream_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        inner.no_stream.lock().insert(exec.url().authority());
-                    }
-                    StreamWire::Buffered => {}
-                }
-                if so.cancelled {
-                    break Err((
-                        SiteErrorKind::Timeout,
-                        format!(
-                            "stream abandoned at a frame boundary after {} rows (leg {})",
-                            rows.len(),
-                            leg_ctx.leg_tag()
-                        ),
-                    ));
-                }
-                let rows = Arc::new(rows);
-                // Clean end (trailer verified, or a complete buffered body):
-                // the standard full-window insert, exactly like the buffered
-                // path — merge_filterable dedups rows the per-frame claims
-                // already hold.
-                if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
-                    inner
-                        .cache
-                        .insert(&fill.series, fill.window, Arc::clone(&rows));
-                    inner
-                        .site_keys
-                        .lock()
-                        .entry(site.to_owned())
-                        .or_default()
-                        .insert(fill.series.clone());
-                }
-                break Ok(FlightRows::complete(rows));
-            }
-            Err(OgsiError::StreamTruncated {
-                rows: delivered,
-                detail,
-            }) => {
-                inner.stats.streams.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .stats
-                    .stream_frames
-                    .fetch_add(frames, Ordering::Relaxed);
-                inner
-                    .stats
-                    .stream_rows
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                if rows.is_empty() {
-                    // Nothing arrived before the connection died: a plain
-                    // unreachable-site failure, nothing partial about it.
-                    break Err((SiteErrorKind::Unreachable, detail));
-                }
-                inner.stats.stream_truncated.fetch_add(1, Ordering::Relaxed);
-                // Partial result: the delivered prefix stands (and its
-                // per-frame cache claims survive — each one was sound on its
-                // own), but no full-window claim is made.
-                break Ok(FlightRows::truncated(
-                    Arc::new(rows),
-                    format!("stream died after {delivered} rows: {detail}"),
-                ));
-            }
-            Err(e) => {
-                // Non-truncation errors only occur before any row was
-                // delivered (the stub maps later failures to StreamTruncated),
-                // so the buffered path's retry discipline applies unchanged.
-                let (kind, retryable) = classify(&e);
-                if retryable && attempt < inner.config.retries {
-                    attempt += 1;
-                    let backoff = inner.config.backoff * (1 << attempt.min(6));
-                    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                        break Err((
-                            SiteErrorKind::Timeout,
-                            format!("{e} (budget exhausted during retry backoff)"),
-                        ));
-                    }
-                    std::thread::sleep(backoff);
-                    continue;
-                }
-                break Err((kind, e.to_string()));
-            }
-        }
-    }
 }

@@ -12,7 +12,10 @@
 use crate::query::{FederatedQuery, SiteError, SiteErrorKind};
 use parking_lot::Mutex;
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{FactoryStub, GridServiceStub, Gsh, OgsiError, RegistryStub, ServiceEntry};
+use pperf_ogsi::{
+    FactoryStub, GridServiceStub, Gsh, OgsiError, RegistryStub, ServiceEntry, Wire,
+    WIRE_VERSION_SDE,
+};
 use pperfgrid::{ApplicationStub, ManagerStub};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,21 +41,8 @@ pub struct SitePlan {
     pub factory: Gsh,
     /// Expanded `getPR` targets.
     pub targets: Vec<ExecTarget>,
-    /// The site advertises `supportsBatch` service data, so its targets may
-    /// ride one multi-call wire request per host instead of one call each.
-    pub supports_batch: bool,
-    /// The site also advertises `supportsBinary`: its container decodes
-    /// PPGB frames, so those multi-calls may travel the binary data plane.
-    pub supports_binary: bool,
-    /// The site advertises `supportsStreaming`: its Execution containers
-    /// answer `/ogsa/stream` with incremental PPGB result frames, so
-    /// per-call getPR targets may be consumed frame-at-a-time.
-    pub supports_streaming: bool,
-    /// The site advertises `supportsBatchStream`: its container answers
-    /// `/ogsa/batch-stream` with interleaved per-entry stream sections, so
-    /// a whole batch may stream end to end in one exchange. Implies (and is
-    /// only honored alongside) batch and streaming support.
-    pub supports_batch_stream: bool,
+    /// The newest wire the site advertises (`wireVersion` service data).
+    pub wire: Wire,
 }
 
 /// A complete scatter plan: per-site target lists plus the sites that failed
@@ -81,14 +71,8 @@ impl QueryPlan {
 struct BoundSite {
     app: ApplicationStub,
     manager: Option<ManagerStub>,
-    /// Learned once at bind time from `supportsBatch` service data.
-    supports_batch: bool,
-    /// Learned once at bind time from `supportsBinary` service data.
-    supports_binary: bool,
-    /// Learned once at bind time from `supportsStreaming` service data.
-    supports_streaming: bool,
-    /// Learned once at bind time from `supportsBatchStream` service data.
-    supports_batch_stream: bool,
+    /// Learned once at bind time from `wireVersion` service data.
+    wire: Wire,
     /// Hedges already learned for primaries of this site (primary handle →
     /// hedge, `None` recorded for un-hedgeable primaries).
     hedges: HashMap<String, Option<Gsh>>,
@@ -322,78 +306,32 @@ impl Planner {
         }
         // Look up (and drop the lock on) the cached binding before any wire
         // work: createService and capability discovery must not run under it.
-        let cached = self.bound.lock().get(site).map(|bound| {
-            (
-                bound.app.clone(),
-                bound.supports_batch,
-                bound.supports_binary,
-                bound.supports_streaming,
-                bound.supports_batch_stream,
-            )
-        });
-        let (app, supports_batch, supports_binary, supports_streaming, supports_batch_stream) =
-            match cached {
-                Some(cached) => cached,
-                None => {
-                    let factory_gsh = Gsh::parse(entry.factory_url.as_str())?;
-                    let factory = FactoryStub::bind(Arc::clone(&self.client), &factory_gsh);
-                    let instance = factory.create_service(&[])?;
-                    let app = ApplicationStub::bind(Arc::clone(&self.client), &instance);
-                    let manager = self.hedging.then(|| self.discover_manager(&app)).flatten();
-                    // The capability probes are independent service-data reads;
-                    // running them concurrently keeps a fresh bind at one probe
-                    // round-trip however many capabilities exist.
-                    let (supports_batch, binary_probe, supports_streaming, batch_stream_probe) =
-                        std::thread::scope(|scope| {
-                            let batch = scope.spawn(|| self.discover_batch_support(&app));
-                            let binary = scope.spawn(|| self.discover_binary_support(&app));
-                            let streaming = scope.spawn(|| self.discover_streaming_support(&app));
-                            let batch_stream =
-                                scope.spawn(|| self.discover_batch_stream_support(&app));
-                            (
-                                batch.join().unwrap_or(false),
-                                binary.join().unwrap_or(false),
-                                // Streaming rides the per-call path, not the
-                                // batch one, so its probe stands on its own.
-                                streaming.join().unwrap_or(false),
-                                batch_stream.join().unwrap_or(false),
-                            )
-                        });
-                    // Binary is an extension of the batch protocol, so only
-                    // batch-capable sites honor it. A positive answer pre-seeds
-                    // the client's per-peer codec memory: the first multi-call
-                    // to this site opens with a PPGB frame instead of probing
-                    // via an XML `Accept` advertisement.
-                    let supports_binary = supports_batch && binary_probe;
-                    if supports_binary {
-                        self.client.mark_binary(&app.handle().url().authority());
-                    }
-                    // Batch streaming composes the batch envelope with the
-                    // stream framing, so it is only honored where both parents
-                    // are advertised too.
-                    let supports_batch_stream =
-                        supports_batch && supports_streaming && batch_stream_probe;
-                    self.bound.lock().insert(
-                        site.to_owned(),
-                        BoundSite {
-                            app: app.clone(),
-                            manager,
-                            supports_batch,
-                            supports_binary,
-                            supports_streaming,
-                            supports_batch_stream,
-                            hedges: HashMap::new(),
-                        },
-                    );
-                    (
-                        app,
-                        supports_batch,
-                        supports_binary,
-                        supports_streaming,
-                        supports_batch_stream,
-                    )
-                }
-            };
+        let cached = self
+            .bound
+            .lock()
+            .get(site)
+            .map(|bound| (bound.app.clone(), bound.wire));
+        let (app, wire) = match cached {
+            Some(cached) => cached,
+            None => {
+                let factory_gsh = Gsh::parse(entry.factory_url.as_str())?;
+                let factory = FactoryStub::bind(Arc::clone(&self.client), &factory_gsh);
+                let instance = factory.create_service(&[])?;
+                let app = ApplicationStub::bind(Arc::clone(&self.client), &instance);
+                let manager = self.hedging.then(|| self.discover_manager(&app)).flatten();
+                let wire = self.discover_wire(&app);
+                self.bound.lock().insert(
+                    site.to_owned(),
+                    BoundSite {
+                        app: app.clone(),
+                        manager,
+                        wire,
+                        hedges: HashMap::new(),
+                    },
+                );
+                (app, wire)
+            }
+        };
         let primaries = match &query.selector {
             Some((attribute, value)) => app.get_execs(attribute, value)?,
             None => app.get_all_execs()?,
@@ -408,10 +346,7 @@ impl Planner {
             site: site.to_owned(),
             factory: Gsh::parse(entry.factory_url.as_str())?,
             targets,
-            supports_batch,
-            supports_binary,
-            supports_streaming,
-            supports_batch_stream,
+            wire,
         })
     }
 
@@ -425,48 +360,16 @@ impl Planner {
         Some(ManagerStub::bind(Arc::clone(&self.client), &gsh))
     }
 
-    /// Whether the site advertises the batched wire protocol. Best-effort
-    /// and negotiated once per binding: absent/false/unreadable all mean
-    /// per-call getPR, so pre-batch sites keep working untouched.
-    fn discover_batch_support(&self, app: &ApplicationStub) -> bool {
+    /// The newest wire the site advertises, read once per binding from its
+    /// `wireVersion` service data. Best-effort: absent or unreadable means
+    /// per-call getPR, so sites that predate wire negotiation keep working
+    /// untouched.
+    fn discover_wire(&self, app: &ApplicationStub) -> Wire {
         let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsBatch")
+        gs.find_service_data(WIRE_VERSION_SDE)
             .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
-    }
-
-    /// Whether the site advertises the PPGB binary codec. Same best-effort
-    /// rules as [`Planner::discover_batch_support`]: absent, false, or
-    /// unreadable all mean XML.
-    fn discover_binary_support(&self, app: &ApplicationStub) -> bool {
-        let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsBinary")
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
-    }
-
-    /// Whether the site advertises incremental result streams. Same
-    /// best-effort rules: absent, false, or unreadable all mean buffered
-    /// getPR answers, so pre-streaming sites keep working untouched.
-    fn discover_streaming_support(&self, app: &ApplicationStub) -> bool {
-        let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsStreaming")
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
-    }
-
-    /// Whether the site advertises the interleaved batch-stream wire. Same
-    /// best-effort rules: absent, false, or unreadable all mean the batch
-    /// falls back to the buffered (PR 4) envelope.
-    fn discover_batch_stream_support(&self, app: &ApplicationStub) -> bool {
-        let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsBatchStream")
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
+            .and_then(|v| v.as_int())
+            .map_or(Wire::PerCall, Wire::from_version)
     }
 
     /// Hedge handles aligned with `primaries`, consulting the site's Manager

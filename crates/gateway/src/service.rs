@@ -164,17 +164,6 @@ impl ServicePort for FederatedQueryService {
                 "binaryFallbackCalls",
                 Value::Int(snapshot.binary_fallback_calls as i64),
             )
-            .with("streams", Value::Int(snapshot.streams as i64))
-            .with("streamFrames", Value::Int(snapshot.stream_frames as i64))
-            .with("streamRows", Value::Int(snapshot.stream_rows as i64))
-            .with(
-                "streamTruncated",
-                Value::Int(snapshot.stream_truncated as i64),
-            )
-            .with(
-                "streamFallbackCalls",
-                Value::Int(snapshot.stream_fallback_calls as i64),
-            )
             .with("batchStreams", Value::Int(snapshot.batch_streams as i64))
             .with(
                 "batchStreamEntries",

@@ -4,7 +4,7 @@
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub};
+use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub, Wire};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
 use std::collections::BTreeMap;
@@ -70,9 +70,9 @@ fn rows_by_site(result: &pperf_gateway::FederatedResult) -> BTreeMap<String, Vec
     by_site
 }
 
-/// A fleet mixing a batch-capable site with a legacy (no `supportsBatch`)
-/// site must answer exactly like an all-per-call gateway — batching is a
-/// wire-level optimization, never a semantic change.
+/// A fleet mixing a batch-capable site with a per-call (`wireVersion` 0)
+/// site holding the same data must answer identically for both — batching
+/// is a wire-level optimization, never a semantic change.
 #[test]
 fn mixed_fleet_batched_and_legacy_sites_agree() {
     let client = Arc::new(HttpClient::new());
@@ -84,31 +84,28 @@ fn mixed_fleet_batched_and_legacy_sites_agree() {
         &c_new,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2, None)) as Arc<dyn ApplicationWrapper>,
-        // This suite targets the buffered multi-call plane; pin the sites off
-        // the interleaved batch-stream wire so its counters stay meaningful.
-        &SiteConfig::new("new").with_batch_stream_advertised(false),
+        // Version 1 exercises the XML batch plane in isolation
+        // (tests/binary.rs covers the PPGB plane).
+        &SiteConfig::new("new").with_wire_version(Wire::XmlBatch),
     )
     .unwrap();
     let old_site = Site::deploy(
         &c_old,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2, None)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("old").with_batch_advertised(false),
+        &SiteConfig::new("old").with_wire_version(Wire::PerCall),
     )
     .unwrap();
     publish(&client, &registry, "NEW", &new_site);
     publish(&client, &registry, "OLD", &old_site);
 
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
-    // Binary is pinned off so this test exercises the XML batch plane in
-    // isolation (tests/binary.rs covers the PPGB plane).
     let batched_gw = FederatedGateway::new(
         Arc::clone(&client),
         registry.clone(),
         GatewayConfig::default()
             .with_cache(false)
-            .with_hedging(None)
-            .with_binary(false),
+            .with_hedging(None),
     );
     let batched = batched_gw.query(&query);
     assert!(batched.errors.is_empty(), "{:?}", batched.errors);
@@ -119,28 +116,22 @@ fn mixed_fleet_batched_and_legacy_sites_agree() {
     let snapshot = batched_gw.snapshot();
     assert_eq!(snapshot.batched_calls, 1);
     assert_eq!(snapshot.batch_entries, 3);
-    assert_eq!(snapshot.batch_fallback_calls, 3);
+    assert_eq!(
+        snapshot.batch_fallback_calls, 0,
+        "per-call is a version-0 site's own wire, not a fallback"
+    );
     // The wire-level counters agree: only the capable site's container saw a
     // multi-call.
     assert_eq!(c_new.batch_counters(), (1, 3));
     assert_eq!(c_old.batch_counters(), (0, 0));
+    assert_eq!(c_new.binary_counters(), (0, 0), "version 1 stays XML");
 
-    let per_call_gw = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_batching(false),
-    );
-    let per_call = per_call_gw.query(&query);
-    assert!(per_call.errors.is_empty(), "{:?}", per_call.errors);
-    assert_eq!(per_call.upstream_calls, 6);
-    assert_eq!(per_call_gw.snapshot().batched_calls, 0);
-
-    // Identical FederatedResult, whatever the wire shape.
-    assert_eq!(rows_by_site(&batched), rows_by_site(&per_call));
-    assert_eq!(batched.sites_total, per_call.sites_total);
+    // Identical rows, whatever the wire shape: both sites hold the same
+    // data, one answered through a multi-call, the other per-call.
+    let by_site = rows_by_site(&batched);
+    assert_eq!(by_site.len(), 2);
+    assert_eq!(by_site["NEW/new"], by_site["OLD/old"]);
+    assert_eq!(batched.sites_total, 2);
 }
 
 /// One entry of a batch faulting (here: an execution that doesn't know the
@@ -168,7 +159,7 @@ fn per_entry_fault_yields_partial_result_under_batching() {
         &container,
         Arc::clone(&client),
         Arc::new(app) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("mem").with_batch_stream_advertised(false),
+        &SiteConfig::new("mem").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     publish(&client, &registry, "MEM", &site);
@@ -224,7 +215,7 @@ fn per_entry_deadline_yields_partial_result_under_batching() {
         &container,
         Arc::clone(&client),
         Arc::new(app) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("mem").with_batch_stream_advertised(false),
+        &SiteConfig::new("mem").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     publish(&client, &registry, "MEM", &site);

@@ -2,14 +2,14 @@
 //! buffered-batch sites must federate identically, a site killed mid-entry
 //! costs exactly the unsealed entry (sealed siblings keep their rows), a
 //! consumer hangup abandons the whole batch at a frame boundary, and a
-//! stale `supportsBatchStream` advertisement downgrades to the buffered
-//! multi-call once and is then remembered.
+//! stale `wireVersion` 3 downgrades to the buffered multi-call once and is
+//! then remembered.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{
     BatchStreamEntryOutcome, Container, ContainerConfig, FactoryStub, Gsh, RegistryService,
-    RegistryStub, ServiceStub,
+    RegistryStub, ServiceStub, Wire,
 };
 use pperf_soap::BatchEntry;
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
@@ -105,10 +105,10 @@ fn batch_config() -> GatewayConfig {
         .with_call_timeout(Duration::from_secs(10))
 }
 
-/// A fleet mixing a batch-stream site with one that still batches buffered
-/// must answer exactly like an all-per-call gateway — the interleaved wire
-/// is a transport optimization, never a semantic change — and the counters
-/// must show which plane each site actually rode.
+/// A fleet mixing a batch-stream site with one that still batches buffered,
+/// both holding the same data, must answer identically for both — the
+/// interleaved wire is a transport optimization, never a semantic change —
+/// and the counters must show which plane each site actually rode.
 #[test]
 fn mixed_fleet_batch_stream_and_buffered_sites_agree() {
     let client = Arc::new(HttpClient::new());
@@ -123,12 +123,12 @@ fn mixed_fleet_batch_stream_and_buffered_sites_agree() {
         &SiteConfig::new("new"),
     )
     .unwrap();
-    // Batches and streams, but predates the interleaved batch wire.
+    // Version 2: batches in PPGB, but predates the interleaved batch wire.
     let old_site = Site::deploy(
         &c_old,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("old").with_batch_stream_advertised(false),
+        &SiteConfig::new("old").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     publish(&client, &registry, "NEW", &new_site);
@@ -161,18 +161,11 @@ fn mixed_fleet_batch_stream_and_buffered_sites_agree() {
     assert_eq!(c_new.batch_counters(), (0, 0));
     assert_eq!(c_old.batch_stream_counters().0, 0);
 
-    // Identical FederatedResult from an all-per-call gateway.
-    let per_call_gw = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        batch_config().with_batching(false),
-    );
-    let per_call = per_call_gw.query(&query);
-    assert!(per_call.errors.is_empty(), "{:?}", per_call.errors);
-    assert_eq!(per_call.upstream_calls, 6);
-    assert_eq!(per_call_gw.snapshot().batch_streams, 0);
-    assert_eq!(rows_by_site(&result), rows_by_site(&per_call));
-    assert_eq!(result.sites_total, per_call.sites_total);
+    // Identical rows on both wires: the two sites hold the same data.
+    let by_site = rows_by_site(&result);
+    assert_eq!(by_site.len(), 2);
+    assert_eq!(by_site["NEW/new"], by_site["OLD/old"]);
+    assert_eq!(result.sites_total, 2);
 }
 
 /// A site killed while one entry of its batch is still streaming costs
@@ -351,7 +344,7 @@ fn consumer_cancel_abandons_batch_at_frame_boundary() {
     );
 }
 
-/// A stale `supportsBatchStream` advertisement (the route 404s) costs one
+/// A stale `wireVersion` 3 advertisement (the route 404s) costs one
 /// transparent downgrade to the buffered multi-call — never a failed query —
 /// and the authority is remembered so later queries skip the dead probe.
 #[test]

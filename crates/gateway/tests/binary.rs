@@ -1,11 +1,11 @@
 //! Binary data plane integration: mixed fleets of PPGB-speaking and
-//! XML-only sites must produce identical federated answers, negotiation
-//! must upgrade and downgrade transparently, and multi-metric queries must
-//! fold every tuple of a host into one frame.
+//! XML-only sites must produce identical federated answers, a stale
+//! `wireVersion` must downgrade transparently, and multi-metric queries
+//! must fold every tuple of a host into one frame.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub};
+use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub, Wire};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
 use std::collections::BTreeMap;
@@ -16,8 +16,7 @@ fn start_container() -> Arc<Container> {
 }
 
 fn start_legacy_container() -> Arc<Container> {
-    // A container predating the PPGB codec: `/ogsa/binary` answers 404 and
-    // batches are always answered in XML.
+    // A container predating the PPGB codec: `/ogsa/binary` answers 404.
     let config = ContainerConfig {
         binary_enabled: false,
         ..Default::default()
@@ -91,10 +90,11 @@ fn plain_gateway(client: &Arc<HttpClient>, registry: &Gsh) -> Arc<FederatedGatew
     )
 }
 
-/// A fleet mixing a binary-capable site with an XML-batch site and a fully
-/// legacy (per-call) site must answer exactly like an all-per-call gateway.
-/// The codec is a wire-level optimization, never a semantic change — and
-/// every counter must show which plane each site actually used.
+/// A fleet mixing a binary-capable site with an XML-batch site and a
+/// per-call (`wireVersion` 0) site, all holding the same data, must answer
+/// identically for all three. The codec is a wire-level optimization, never
+/// a semantic change — and every counter must show which plane each site
+/// actually used.
 #[test]
 fn mixed_fleet_binary_and_xml_sites_agree() {
     let client = Arc::new(HttpClient::new());
@@ -107,30 +107,25 @@ fn mixed_fleet_binary_and_xml_sites_agree() {
         &c_bin,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        // This suite exercises the buffered batch codecs; keep the sites off
-        // the interleaved batch-stream wire so the counters stay buffered.
-        &SiteConfig::new("bin").with_batch_stream_advertised(false),
+        // This suite exercises the buffered batch codecs: version 2 keeps
+        // the site off the interleaved batch-stream wire.
+        &SiteConfig::new("bin").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
-    // Batch-capable but binary-less: honest advertisement matching its
+    // Version 1: an honest advertisement matching its binary-less
     // container.
     let xml_site = Site::deploy(
         &c_xml,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("xml")
-            .with_binary_advertised(false)
-            .with_batch_stream_advertised(false),
+        &SiteConfig::new("xml").with_wire_version(Wire::XmlBatch),
     )
     .unwrap();
     let old_site = Site::deploy(
         &c_old,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("old")
-            .with_batch_advertised(false)
-            .with_binary_advertised(false)
-            .with_batch_stream_advertised(false),
+        &SiteConfig::new("old").with_wire_version(Wire::PerCall),
     )
     .unwrap();
     publish(&client, &registry, "BIN", &bin_site);
@@ -143,98 +138,51 @@ fn mixed_fleet_binary_and_xml_sites_agree() {
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.rows.len(), 9);
     // One multi-call each for the binary and XML sites, three per-call
-    // fallbacks for the legacy one.
+    // calls for the version-0 one.
     assert_eq!(result.upstream_calls, 5);
     let snapshot = gateway.snapshot();
     assert_eq!(snapshot.batched_calls, 2);
     assert_eq!(snapshot.batch_entries, 6);
-    assert_eq!(snapshot.batch_fallback_calls, 3);
+    assert_eq!(
+        snapshot.batch_fallback_calls, 0,
+        "no batch-capable site fell back"
+    );
     assert_eq!(snapshot.binary_calls, 1, "only the BIN site spoke PPGB");
     assert_eq!(snapshot.binary_entries, 3);
     assert_eq!(snapshot.binary_fallback_calls, 0, "no downgrades needed");
     // Container-side agreement: the binary site saw one PPGB exchange and
-    // zero XML batches (its capability was pre-seeded from service data);
-    // the XML site saw one XML batch; the legacy one saw neither.
+    // zero XML batches (its `wireVersion` named the codec up front); the
+    // XML site saw one XML batch; the version-0 one saw neither.
     assert_eq!(c_bin.binary_counters(), (1, 3));
     assert_eq!(c_bin.batch_counters(), (0, 0));
     assert_eq!(c_xml.binary_counters(), (0, 0));
     assert_eq!(c_xml.batch_counters(), (1, 3));
     assert_eq!(c_old.batch_counters(), (0, 0));
 
-    // Identical FederatedResult from an all-per-call gateway.
-    let per_call_gw = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_batching(false),
-    );
-    let per_call = per_call_gw.query(&query);
-    assert!(per_call.errors.is_empty(), "{:?}", per_call.errors);
-    assert_eq!(per_call.upstream_calls, 9);
-    assert_eq!(rows_by_site(&result), rows_by_site(&per_call));
-    assert_eq!(result.sites_total, per_call.sites_total);
+    // Identical rows on every wire: the three sites hold the same data.
+    let by_site = rows_by_site(&result);
+    assert_eq!(by_site.len(), 3);
+    assert_eq!(by_site["BIN/bin"], by_site["OLD/old"]);
+    assert_eq!(by_site["XML/xml"], by_site["OLD/old"]);
+    assert_eq!(result.sites_total, 3);
 }
 
-/// A site that advertises `supportsBatch` but not `supportsBinary` still
-/// upgrades through in-band negotiation when its container actually speaks
-/// PPGB: the first batch goes out as XML with an `Accept` advertisement,
-/// comes back binary, and every later batch opens with a PPGB frame.
-#[test]
-fn accept_advertisement_upgrades_modest_sites() {
-    let client = Arc::new(HttpClient::new());
-    let container = start_container();
-    let registry = registry_on(&container);
-
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("modest")
-            .with_binary_advertised(false)
-            .with_batch_stream_advertised(false),
-    )
-    .unwrap();
-    publish(&client, &registry, "MODEST", &site);
-
-    let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
-    let gateway = plain_gateway(&client, &registry);
-
-    let first = gateway.query(&query);
-    assert!(first.errors.is_empty(), "{:?}", first.errors);
-    // The upgrade round: an XML multiCall hit `/ogsa/batch` (counted there)
-    // but its *response* already travelled as a PPGB frame.
-    assert_eq!(container.batch_counters(), (1, 3));
-    assert_eq!(container.binary_counters(), (0, 0));
-    assert_eq!(gateway.snapshot().binary_calls, 1);
-
-    let second = gateway.query(&query);
-    assert!(second.errors.is_empty(), "{:?}", second.errors);
-    // Now the peer is known binary: the batch went to `/ogsa/binary`.
-    assert_eq!(container.batch_counters(), (1, 3));
-    assert_eq!(container.binary_counters(), (1, 3));
-    assert_eq!(gateway.snapshot().binary_calls, 2);
-    assert_eq!(rows_by_site(&first), rows_by_site(&second));
-}
-
-/// A site whose advertisement lies (claims `supportsBinary`, container
-/// 404s the binary route) costs one transparent downgrade, never a failed
-/// query: the frame is re-sent as XML and the peer is forgotten.
+/// A site whose advertisement lies (claims `wireVersion` 2, container 404s
+/// the binary route) costs one transparent downgrade, never a failed query:
+/// the held batch is re-sent as XML and the authority remembered.
 #[test]
 fn stale_advertisement_downgrades_transparently() {
     let client = Arc::new(HttpClient::new());
     let container = start_legacy_container();
     let registry = registry_on(&container);
 
-    // `supportsBinary` advertised (the SiteConfig default) against a
-    // container that never decodes PPGB — e.g. a site rolled back after its
-    // registry entry was cached.
+    // Version 2 advertised against a container that never decodes PPGB —
+    // e.g. a site rolled back after its registry entry was cached.
     let site = Site::deploy(
         &container,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("stale").with_batch_stream_advertised(false),
+        &SiteConfig::new("stale").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     publish(&client, &registry, "STALE", &site);
@@ -254,9 +202,8 @@ fn stale_advertisement_downgrades_transparently() {
     assert_eq!(snapshot.binary_calls, 0);
     assert_eq!(container.batch_counters(), (1, 3), "re-sent as XML");
 
-    // The peer was forgotten: later queries go straight to XML (with the
-    // Accept advertisement the container keeps ignoring) — no second
-    // downgrade round trip.
+    // The authority was remembered: later queries go straight to XML — no
+    // second downgrade round trip.
     let second = gateway.query(&query);
     assert!(second.errors.is_empty(), "{:?}", second.errors);
     let snapshot = gateway.snapshot();
@@ -278,7 +225,7 @@ fn multi_metric_query_shares_one_frame() {
         &container,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("multi").with_batch_stream_advertised(false),
+        &SiteConfig::new("multi").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     publish(&client, &registry, "MULTI", &site);

@@ -8,7 +8,9 @@ use pperf_gateway::{
     SiteErrorKind,
 };
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Container, ContainerConfig, GridServiceStub, Gsh, RegistryService, RegistryStub};
+use pperf_ogsi::{
+    Container, ContainerConfig, GridServiceStub, Gsh, RegistryService, RegistryStub, Wire,
+};
 use pperfgrid::wrappers::{HplSqlWrapper, MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, ExecutionWrapper, PrQuery, Site, SiteConfig, WrapperError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,8 +123,8 @@ fn federates_heterogeneous_sites_and_caches_repeats() {
     // 8 tiny-HPL executions + 2 scripted ones, one result set each.
     assert_eq!(first.rows.len(), 10);
     assert!(first.total_rows() >= 8 + 2 * 3);
-    // Both sites advertise supportsBatch and supportsBatchStream, so the
-    // 10 targets collapse into one interleaved batch stream per site —
+    // Both sites advertise wire version 3, so the 10 targets collapse into
+    // one interleaved batch stream per site —
     // unless the operational PPG_FORCE_XML pin keeps the batches buffered
     // (ci.sh runs this suite both ways).
     assert_eq!(first.upstream_calls, 2);
@@ -179,7 +181,15 @@ fn site_stopped_mid_query_yields_partial_result() {
     // The doomed site answers slowly, so its targets straddle the shutdown.
     let slow: Arc<dyn ApplicationWrapper> =
         Arc::new(mem_wrapper(3, 1, Some(Duration::from_millis(250))));
-    let slow_site = Site::deploy(&c2, Arc::clone(&client), slow, &SiteConfig::new("slow")).unwrap();
+    // Per-call (version 0): the point here is calls *straddling* the
+    // shutdown, which a single batched exchange wouldn't.
+    let slow_site = Site::deploy(
+        &c2,
+        Arc::clone(&client),
+        slow,
+        &SiteConfig::new("slow").with_wire_version(Wire::PerCall),
+    )
+    .unwrap();
     publish(
         &client,
         &registry,
@@ -203,9 +213,6 @@ fn site_stopped_mid_query_yields_partial_result() {
             .with_hedging(None)
             .with_retries(0, Duration::from_millis(5))
             .with_per_site_concurrency(1)
-            // Per-call mode: the point here is calls *straddling* the
-            // shutdown, which a single batched exchange wouldn't.
-            .with_batching(false)
             .with_call_timeout(Duration::from_secs(10)),
     );
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);

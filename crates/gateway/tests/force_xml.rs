@@ -4,9 +4,12 @@
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
+use pperf_ogsi::FactoryStub;
 use pperf_ogsi::{Container, ContainerConfig, RegistryService, RegistryStub};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
-use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
+use pperfgrid::StreamWire;
+use pperfgrid::{ApplicationStub, ApplicationWrapper, ExecutionStub, PrQuery, Site, SiteConfig};
+use ppg_context::CallContext;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,24 +86,51 @@ fn force_xml_pins_every_exchange_to_xml() {
         "/ogsa/batch-stream never hit"
     );
 
-    // Per-call mode would normally stream (the site advertises
-    // supportsStreaming and the container serves /ogsa/stream) — the
-    // override pins those calls to buffered XML too, and the pin is not
-    // recorded as a fallback: nothing was probed, nothing failed.
-    let per_call = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_batching(false)
-            .with_call_timeout(Duration::from_secs(10)),
+    // A singleton target would normally ride a batch stream of one; the
+    // pin caps the site at the XML batch, below which a singleton goes
+    // per-call.
+    let solo = gateway
+        .query(&FederatedQuery::new("gflops", vec!["/Execution".into()]).matching("runid", "0"));
+    assert!(solo.errors.is_empty(), "{:?}", solo.errors);
+    assert_eq!(solo.rows.len(), 1);
+    let snapshot = gateway.snapshot();
+    assert_eq!(snapshot.batch_streams, 0);
+    assert_eq!(
+        snapshot.batch_fallback_calls, 1,
+        "the singleton went per-call"
     );
-    let result = per_call.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
-    assert!(result.errors.is_empty(), "{:?}", result.errors);
-    assert_eq!(result.rows.len(), 3);
-    let snapshot = per_call.snapshot();
-    assert_eq!(snapshot.streams, 0, "forced XML never opens a stream");
-    assert_eq!(snapshot.stream_fallback_calls, 0, "a pin is not a fallback");
-    assert_eq!(container.stream_counters().0, 0, "/ogsa/stream never hit");
+
+    // A single call would normally stream as a batch of one (the site is
+    // at wire version 3 and the container serves /ogsa/batch-stream) — the
+    // override pins it to the buffered XML call too, and the pin is not
+    // reported as a fallback: nothing was probed, nothing failed.
+    let factory = FactoryStub::bind(Arc::clone(&client), &site.app_factory);
+    let app = ApplicationStub::bind(Arc::clone(&client), &factory.create_service(&[]).unwrap());
+    let exec = ExecutionStub::bind(Arc::clone(&client), &app.get_all_execs().unwrap()[0]);
+    let query = PrQuery {
+        metric: "gflops".into(),
+        foci: vec!["/Execution".into()],
+        start: String::new(),
+        end: String::new(),
+        rtype: String::new(),
+    };
+    let ctx = CallContext::with_budget(Duration::from_secs(10));
+    let mut delivered = 0usize;
+    let outcome = exec
+        .get_pr_stream(&query, &ctx, &mut |rows| {
+            delivered += rows.len();
+            true
+        })
+        .unwrap();
+    assert_eq!(delivered, 1);
+    assert_eq!(
+        outcome.wire,
+        StreamWire::Buffered,
+        "forced XML never streams"
+    );
+    assert_eq!(
+        container.batch_stream_counters().0,
+        0,
+        "/ogsa/batch-stream never hit"
+    );
 }

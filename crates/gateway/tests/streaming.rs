@@ -1,19 +1,19 @@
-//! End-to-end streaming data-path tests: a large scan crosses the federation
-//! as incremental PPGB frames with the in-flight window bounding producer
-//! memory, a site killed mid-stream degrades to a truncated partial result,
-//! a spent budget abandons the stream at a frame boundary, and legacy peers
-//! (no advertisement, or a dead route behind a stale advertisement) fall
-//! back to the buffered wire transparently.
+//! End-to-end streaming data-path tests for single targets: a one-execution
+//! site's scan crosses the federation as a batch stream of one, with the
+//! in-flight window bounding producer memory; a site killed mid-stream
+//! degrades to a truncated partial result; a consumer cancel abandons the
+//! stream at a frame boundary; and older peers (a lower `wireVersion`, or a
+//! dead route behind a stale one) are served buffered transparently.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{
-    Container, ContainerConfig, FactoryStub, Gsh, RegistryService, RegistryStub, StreamWire,
+    Container, ContainerConfig, FactoryStub, Gsh, RegistryService, RegistryStub, Wire,
 };
 use pperf_soap::DEFAULT_STREAM_FRAME_BYTES;
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{
-    ApplicationStub, ApplicationWrapper, ExecutionStub, PrQuery, Site, SiteConfig,
+    ApplicationStub, ApplicationWrapper, ExecutionStub, PrQuery, Site, SiteConfig, StreamWire,
     STREAM_BATCH_ROWS,
 };
 use ppg_context::CallContext;
@@ -60,14 +60,14 @@ fn publish(client: &Arc<HttpClient>, registry: &Gsh, org: &str, site: &Site) {
     site.publish(&stub, org, "wide store").unwrap();
 }
 
-/// Per-call mode (batched targets never stream), no cache/hedging/retries so
-/// every query drives exactly the streaming path under test.
-fn per_call_config() -> GatewayConfig {
+/// No cache/hedging/retries, so every query drives exactly the streaming
+/// path under test: each site here has one execution, so each query sends
+/// one batch of one per site.
+fn single_target_config() -> GatewayConfig {
     GatewayConfig::default()
         .with_cache(false)
         .with_hedging(None)
         .with_retries(0, Duration::from_millis(5))
-        .with_batching(false)
         .with_call_timeout(Duration::from_secs(10))
 }
 
@@ -90,7 +90,11 @@ fn large_scan_streams_with_bounded_inflight_window() {
     .unwrap();
     publish(&client, &registry, "WIDE", &site);
 
-    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), per_call_config());
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        single_target_config(),
+    );
     let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.total_rows(), rows);
@@ -109,18 +113,21 @@ fn large_scan_streams_with_bounded_inflight_window() {
         payload >= 8 * bound,
         "scan must dwarf the window: {payload}"
     );
-    let peak = container.stream_peak_queued();
+    let peak = container.batch_stream_peak_queued();
     assert!(
         peak > 0 && peak <= bound,
         "in-flight window must bound producer memory: peak {peak}, bound {bound}"
     );
 
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.streams, 1, "one target, one stream");
-    assert!(snapshot.stream_frames >= 8, "{}", snapshot.stream_frames);
-    assert_eq!(snapshot.stream_rows, rows as u64);
-    assert_eq!(snapshot.stream_fallback_calls, 0);
-    assert_eq!(snapshot.stream_truncated, 0);
+    assert_eq!(snapshot.batch_streams, 1, "one target, one stream");
+    assert_eq!(snapshot.batch_stream_entries, 1, "a batch of one");
+    assert_eq!(snapshot.batch_stream_fallback_calls, 0);
+    assert_eq!(snapshot.batch_stream_truncated, 0);
+    let (calls, entries, frames, streamed_rows, faults) = container.batch_stream_counters();
+    assert_eq!((calls, entries, faults), (1, 1, 0));
+    assert!(frames >= 8, "{frames}");
+    assert_eq!(streamed_rows, rows as u64);
 }
 
 #[test]
@@ -151,7 +158,11 @@ fn site_killed_mid_stream_yields_truncated_partial_rows() {
     publish(&client, &registry, "FAST", &fast);
     publish(&client, &registry, "DOOMED", &doomed);
 
-    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), per_call_config());
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        single_target_config(),
+    );
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
     let gw = Arc::clone(&gateway);
     let q = query.clone();
@@ -194,7 +205,7 @@ fn site_killed_mid_stream_yields_truncated_partial_rows() {
         "errors: {:?}",
         result.errors
     );
-    assert!(gateway.snapshot().stream_truncated >= 1);
+    assert!(gateway.snapshot().batch_stream_truncated >= 1);
 }
 
 /// Poll `predicate` for up to `timeout` — producer-side consequences of a
@@ -260,11 +271,11 @@ fn consumer_cancel_stops_stream_at_frame_boundary() {
     // the scan — the remaining ~23 batches are never rendered or queued.
     assert!(
         wait_for(Duration::from_secs(5), || {
-            let (calls, _frames, rows, faults) = container.stream_counters();
+            let (calls, _entries, _frames, rows, faults) = container.batch_stream_counters();
             calls == 1 && faults >= 1 && (rows as usize) < total_rows
         }),
         "producer must abort mid-scan: {:?}",
-        container.stream_counters()
+        container.batch_stream_counters()
     );
 }
 
@@ -277,30 +288,41 @@ fn site_not_advertising_streams_is_served_buffered() {
         &container,
         Arc::clone(&client),
         Arc::new(wide_wrapper(40, None)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("legacy").with_streaming_advertised(false),
+        &SiteConfig::new("legacy").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     publish(&client, &registry, "LEGACY", &site);
 
-    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), per_call_config());
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        single_target_config(),
+    );
     let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.total_rows(), 40);
 
+    // Below version 3 a singleton group goes per-call: the buffered
+    // batches only pay off from two entries up.
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.streams, 0, "no advertisement, no stream attempt");
+    assert_eq!(snapshot.batch_streams, 0, "version 2, no stream attempt");
     assert_eq!(
-        snapshot.stream_fallback_calls, 0,
+        snapshot.batch_stream_fallback_calls, 0,
         "and no dead probe either"
     );
-    assert_eq!(container.stream_counters().0, 0, "/ogsa/stream never hit");
+    assert_eq!(snapshot.batch_fallback_calls, 1, "served per-call");
+    assert_eq!(
+        container.batch_stream_counters().0,
+        0,
+        "/ogsa/batch-stream never hit"
+    );
 }
 
 #[test]
 fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     let client = Arc::new(HttpClient::new());
     // The container's stream route is off, but the site still advertises
-    // supportsStreaming — the model of a stale capability record.
+    // wire version 3 — the model of a stale capability record.
     let container = start_container(ContainerConfig {
         streaming_enabled: false,
         ..ContainerConfig::default()
@@ -318,7 +340,7 @@ fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     let gateway = FederatedGateway::new(
         Arc::clone(&client),
         registry.clone(),
-        per_call_config().with_per_site_concurrency(1),
+        single_target_config().with_per_site_concurrency(1),
     );
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
 
@@ -326,18 +348,26 @@ fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     assert!(first.errors.is_empty(), "{:?}", first.errors);
     assert_eq!(first.total_rows(), 40, "fallback is transparent");
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.streams, 0);
+    assert_eq!(snapshot.batch_streams, 0);
     assert_eq!(
-        snapshot.stream_fallback_calls, 1,
+        snapshot.batch_stream_fallback_calls, 1,
         "one dead probe, then the authority is remembered"
+    );
+    assert_eq!(
+        snapshot.binary_calls, 1,
+        "the held batch of one stepped down"
     );
 
     let second = gateway.query(&query);
     assert!(second.errors.is_empty(), "{:?}", second.errors);
     assert_eq!(second.total_rows(), 40);
+    let snapshot = gateway.snapshot();
     assert_eq!(
-        gateway.snapshot().stream_fallback_calls,
-        1,
+        snapshot.batch_stream_fallback_calls, 1,
         "later calls skip the probe entirely"
+    );
+    assert_eq!(
+        snapshot.batch_fallback_calls, 1,
+        "a remembered version 2 sends its singleton per-call"
     );
 }

@@ -66,23 +66,22 @@ pub struct ContainerConfig {
     /// Emit one structured log line per SOAP request (request id, operation,
     /// outcome, elapsed time). Defaults to the `PPG_ACCESS_LOG=1` env var.
     pub access_log: bool,
-    /// Speak the PPGB binary batch codec: serve `POST /ogsa/binary` and
-    /// answer `Accept: application/x-ppg-binary` batch requests in kind.
-    /// `false` models a legacy site — the binary route 404s and batches are
-    /// always answered in XML, which is exactly what drives a negotiating
-    /// client's transparent fallback.
+    /// Speak the PPGB binary batch codec: serve `POST /ogsa/binary`.
+    /// `false` models a site below wire version 2 — the binary route 404s,
+    /// which is exactly what drives a client's step down to the XML batch.
     pub binary_enabled: bool,
     /// Speak the push notification plane: serve `POST /ogsa/subscribe` /
     /// `POST /ogsa/unsubscribe` and publish service-data deltas and
     /// result-cache invalidations to subscribers. `false` models a legacy
     /// site — subscribes 404 and clients fall back to TTL polling.
     pub notifications_enabled: bool,
-    /// Speak the incremental result-stream plane: serve `POST /ogsa/stream`,
-    /// producing PPGB stream frames as the consumer drains them. `false`
-    /// models a legacy site — the route 404s, which is the client's cue to
-    /// fall back to the buffered call.
+    /// Speak the interleaved result-stream plane: serve
+    /// `POST /ogsa/batch-stream`, producing PPGB stream frames as the
+    /// consumer drains them. `false` models a site below wire version 3 —
+    /// the route 404s, which is the client's cue to step down to the
+    /// buffered batch.
     pub streaming_enabled: bool,
-    /// In-flight byte window per result stream: the producer thread parks
+    /// In-flight byte window per batch stream: the producer threads park
     /// once this many encoded bytes are queued ahead of the socket, so a
     /// slow reader backpressures the scan instead of ballooning memory.
     /// `0` means unbounded (not recommended outside tests).
@@ -149,18 +148,6 @@ struct Inner {
     binary_calls: AtomicU64,
     /// Sub-call entries carried by those binary frames.
     binary_entries: AtomicU64,
-    /// `POST /ogsa/stream` incremental result streams started.
-    stream_calls: AtomicU64,
-    /// PPGB frames (data + trailer + fault) sent on those streams.
-    stream_frames: AtomicU64,
-    /// Rows carried by those streams' data frames.
-    stream_rows: AtomicU64,
-    /// Streams that ended in an in-band fault frame instead of a trailer.
-    stream_faults: AtomicU64,
-    /// High-water mark of encoded frame bytes queued ahead of the socket
-    /// across all streams — the proof that backpressure held: this never
-    /// exceeds `stream_window_bytes` plus one frame.
-    stream_peak_queued: AtomicU64,
     /// `POST /ogsa/batch-stream` interleaved batch streams started.
     batch_stream_calls: AtomicU64,
     /// Sub-call entries carried by those batch streams.
@@ -275,11 +262,6 @@ impl Container {
             batch_entries: AtomicU64::new(0),
             binary_calls: AtomicU64::new(0),
             binary_entries: AtomicU64::new(0),
-            stream_calls: AtomicU64::new(0),
-            stream_frames: AtomicU64::new(0),
-            stream_rows: AtomicU64::new(0),
-            stream_faults: AtomicU64::new(0),
-            stream_peak_queued: AtomicU64::new(0),
             batch_stream_calls: AtomicU64::new(0),
             batch_stream_entries: AtomicU64::new(0),
             batch_stream_frames: AtomicU64::new(0),
@@ -475,26 +457,6 @@ impl Container {
         )
     }
 
-    /// Result-stream counters: `(streams, frames, rows, faults)` — streams
-    /// started on `POST /ogsa/stream`, PPGB frames they sent, rows those
-    /// frames carried, and streams that ended in an in-band fault.
-    pub fn stream_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.inner.stream_calls.load(Ordering::Relaxed),
-            self.inner.stream_frames.load(Ordering::Relaxed),
-            self.inner.stream_rows.load(Ordering::Relaxed),
-            self.inner.stream_faults.load(Ordering::Relaxed),
-        )
-    }
-
-    /// High-water mark of encoded frame bytes any one stream held queued
-    /// ahead of its socket. Stays within `stream_window_bytes` plus one
-    /// frame — the observable proof that producers really parked instead of
-    /// buffering the scan.
-    pub fn stream_peak_queued(&self) -> u64 {
-        self.inner.stream_peak_queued.load(Ordering::Relaxed)
-    }
-
     /// Batch-stream counters: `(calls, entries, frames, rows, faults)` —
     /// interleaved batch streams started on `POST /ogsa/batch-stream`, the
     /// sub-call entries they carried, PPGB frames sent (heads, data,
@@ -648,9 +610,6 @@ fn dispatch_post(inner: &Arc<Inner>, request: &Request) -> Response {
     if request.path == "/ogsa/binary" {
         return handle_binary(inner, request);
     }
-    if request.path == "/ogsa/stream" {
-        return handle_stream(inner, request);
-    }
     if request.path == "/ogsa/batch-stream" {
         return handle_batch_stream(inner, request);
     }
@@ -795,15 +754,6 @@ fn handle_batch(inner: &Arc<Inner>, request: &Request) -> Response {
         .fetch_add(entries.len() as u64, Ordering::Relaxed);
     let ctx = resolve_context(request, soap_ctx);
     let site = format!("{}:{}", inner.host, inner.port_u16());
-    // Codec negotiation: a client that advertised the PPGB codec gets its
-    // successful response in kind (and learns this site speaks binary).
-    // Legacy sites (`binary_enabled: false`) ignore the advertisement.
-    let answer_binary = inner.config.binary_enabled
-        && request
-            .headers
-            .get("Accept")
-            .is_some_and(|accept| accept.contains(BINARY_CONTENT_TYPE));
-
     let (outcome_tag, mut response) = if ctx.expired() {
         inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         let fault = Fault::deadline_exceeded(format!(
@@ -828,12 +778,10 @@ fn handle_batch(inner: &Arc<Inner>, request: &Request) -> Response {
         inner.active.lock().remove(&cancel_key);
         let tag = tally_batch_outcomes(inner, &outcomes);
         ctx.record_span("ogsi.container", "multiCall", &site, started, tag);
-        let response = if answer_binary {
-            Response::ok(BINARY_CONTENT_TYPE, encode_binary_batch_response(&outcomes))
-        } else {
-            Response::xml(Status::OK, encode_batch_response(&outcomes))
-        };
-        (tag, response)
+        (
+            tag,
+            Response::xml(Status::OK, encode_batch_response(&outcomes)),
+        )
     };
 
     response
@@ -893,9 +841,9 @@ fn tally_batch_outcomes(inner: &Inner, outcomes: &[BatchOutcome]) -> &'static st
 /// directions are length-prefixed binary frames instead of SOAP envelopes.
 ///
 /// Error shape matters for negotiation: a site with the codec disabled
-/// answers 404 (the route "does not exist" on a legacy site) and a corrupt
-/// request frame gets a plain-text 400. Both are the stub's cue to forget
-/// the peer's binary capability and transparently re-send as XML.
+/// answers 404 (the route "does not exist" below wire version 2) and a
+/// corrupt request frame gets a plain-text 400. Both are the stub's cue to
+/// step down and re-send as XML.
 fn handle_binary(inner: &Arc<Inner>, request: &Request) -> Response {
     if !inner.config.binary_enabled {
         return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
@@ -969,215 +917,6 @@ fn handle_binary(inner: &Arc<Inner>, request: &Request) -> Response {
     response
 }
 
-/// `POST /ogsa/stream`: one call whose result streams back as incremental
-/// PPGB frames instead of one buffered body. The request is a single-entry
-/// PPGB call frame (the `/ogsa/binary` envelope, arity one); the response is
-/// `application/x-ppg-stream` — length-prefixed kind-6 data frames sealed by
-/// a kind-7 trailer, or a kind-3 fault frame for in-band errors.
-///
-/// The handler returns the stream *head* immediately; a producer thread
-/// drives [`ServicePort::invoke_stream`] and parks whenever
-/// `stream_window_bytes` of encoded frames are queued ahead of the socket,
-/// so a slow consumer backpressures the scan itself. Error shape feeds
-/// negotiation: streaming disabled, an unknown target, or a non-streaming
-/// operation all answer 404 — the client's cue to fall back to the buffered
-/// call, which surfaces any real fault.
-fn handle_stream(inner: &Arc<Inner>, request: &Request) -> Response {
-    if !inner.config.streaming_enabled {
-        return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
-    }
-    let started = Instant::now();
-    let (mut entries, frame_ctx) = match decode_binary_batch_call(&request.body) {
-        Ok(parts) => parts,
-        Err(e) => {
-            return Response::text(Status::BAD_REQUEST, format!("malformed PPGB frame: {e}"));
-        }
-    };
-    if entries.len() != 1 {
-        return Response::text(
-            Status::BAD_REQUEST,
-            format!(
-                "stream frame must carry exactly one call, got {}",
-                entries.len()
-            ),
-        );
-    }
-    let entry = entries.pop().expect("one entry");
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    let ctx = resolve_context(request, frame_ctx);
-    let Some(dep) = inner.lookup(&entry.path) else {
-        return Response::text(Status::NOT_FOUND, format!("no service at {}", entry.path));
-    };
-    if !dep.port.supports_stream(&entry.method) {
-        return Response::text(
-            Status::NOT_FOUND,
-            format!("{} does not stream {:?}", entry.path, entry.method),
-        );
-    }
-    inner.stream_calls.fetch_add(1, Ordering::Relaxed);
-    let site = format!("{}:{}", inner.host, inner.port_u16());
-
-    if ctx.expired() {
-        // Doomed on arrival: a one-frame buffered stream body carrying the
-        // fault — same in-band error channel, no producer thread.
-        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        inner.stream_faults.fetch_add(1, Ordering::Relaxed);
-        inner.stream_frames.fetch_add(1, Ordering::Relaxed);
-        let fault = Fault::deadline_exceeded(format!(
-            "stream request {} arrived after its deadline",
-            ctx.request_id()
-        ));
-        ctx.record_span(
-            "ogsi.container",
-            &entry.method,
-            &site,
-            started,
-            "deadline-exceeded",
-        );
-        let mut response = Response::ok(STREAM_CONTENT_TYPE, encode_stream_fault(&fault));
-        response
-            .headers
-            .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-        return response;
-    }
-
-    let (mut response, writer) =
-        Response::stream_windowed(STREAM_CONTENT_TYPE, inner.config.stream_window_bytes);
-    response
-        .headers
-        .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-
-    let cancel_key = ctx.cancel_key();
-    inner.active.lock().insert(cancel_key.clone(), ctx.clone());
-    let producer_inner = Arc::clone(inner);
-    let access_log = inner.config.access_log;
-    std::thread::Builder::new()
-        .name("ppg-stream".into())
-        .spawn(move || {
-            let _scope = ppg_context::scope(&ctx);
-            let outcome =
-                run_stream_producer(&producer_inner, &entry, &dep, &ctx, &writer, &site, started);
-            producer_inner.active.lock().remove(&cancel_key);
-            if access_log {
-                eprintln!(
-                    "ppg-access request_id={} leg={} op={} path={} status=stream outcome={} elapsed_us={} remaining_ms={}",
-                    ctx.request_id(),
-                    if ctx.leg_tag().is_empty() { "-" } else { ctx.leg_tag() },
-                    entry.method,
-                    entry.path,
-                    outcome,
-                    started.elapsed().as_micros(),
-                    ctx.deadline_ms().map_or_else(|| "-".into(), |ms| ms.to_string()),
-                );
-            }
-        })
-        .expect("spawn stream producer");
-    response
-}
-
-/// Drive one result stream to completion on the producer thread: rows from
-/// [`ServicePort::invoke_stream`] pack into bounded frames, each frame blocks
-/// on the in-flight window, the trailer (or an in-band fault frame) seals the
-/// stream. Records the `ogsi.container` span itself — on the happy path it
-/// must exist *before* the trailer is encoded, because the response headers
-/// flushed long ago and the trailer is the trace's only ride back to the
-/// consumer. Returns the span outcome tag.
-fn run_stream_producer(
-    inner: &Arc<Inner>,
-    entry: &BatchEntry,
-    dep: &Arc<Deployed>,
-    ctx: &CallContext,
-    writer: &pperf_httpd::StreamWriter,
-    site: &str,
-    started: Instant,
-) -> &'static str {
-    let call = Call {
-        method: entry.method.clone(),
-        namespace: entry.namespace.clone(),
-        params: entry.params.clone(),
-    };
-    let mut frame_writer = FrameWriter::new(DEFAULT_STREAM_FRAME_BYTES);
-    let mut frames_sent = 0u64;
-    let result = {
-        let fw = &mut frame_writer;
-        let frames = &mut frames_sent;
-        let mut sink = |rows: Vec<String>| -> std::result::Result<(), Fault> {
-            // Frame boundaries are the cancellation points: a spent budget
-            // or cancelled leg stops the scan here, between batches.
-            if ctx.expired() {
-                return Err(if ctx.cancelled() {
-                    Fault::cancelled("stream leg cancelled by caller")
-                } else {
-                    Fault::deadline_exceeded("stream deadline exceeded mid-flight")
-                });
-            }
-            // Reuse buffers the event loop already flushed: each recycled
-            // spare saves one encoder allocation per frame at steady state.
-            if let Some(spare) = writer.take_spare() {
-                fw.recycle(spare);
-            }
-            for row in rows {
-                if let Some(frame) = fw.push(row) {
-                    if !writer.send_blocking(frame) {
-                        // Consumer hung up: abort the scan, nothing to send.
-                        return Err(Fault::client("stream consumer disconnected"));
-                    }
-                    *frames += 1;
-                }
-            }
-            Ok(())
-        };
-        invoke_stream_guarded(&dep.port, &entry.method, &call, ctx, &mut sink)
-    };
-    let outcome = match result {
-        Ok(rows) => {
-            ctx.record_span("ogsi.container", &entry.method, site, started, "ok");
-            let trace = ppg_context::encode_trace(&ctx.spans());
-            let mut sealed = true;
-            for frame in frame_writer.finish_with_trace(&trace) {
-                if !writer.send_blocking(frame) {
-                    sealed = false;
-                    break;
-                }
-                frames_sent += 1;
-            }
-            if sealed {
-                inner.stream_rows.fetch_add(rows, Ordering::Relaxed);
-                "ok"
-            } else {
-                "reader-gone"
-            }
-        }
-        Err(fault) => {
-            inner.stream_faults.fetch_add(1, Ordering::Relaxed);
-            let tag = if fault.is_deadline_exceeded() {
-                inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                "deadline-exceeded"
-            } else if fault.is_cancelled() {
-                inner.cancelled_calls.fetch_add(1, Ordering::Relaxed);
-                "cancelled"
-            } else if writer.is_dead() {
-                "reader-gone"
-            } else {
-                "fault"
-            };
-            if !writer.is_dead() && writer.send_blocking(encode_stream_fault(&fault)) {
-                frames_sent += 1;
-            }
-            ctx.record_span("ogsi.container", &entry.method, site, started, tag);
-            tag
-        }
-    };
-    inner
-        .stream_frames
-        .fetch_add(frames_sent, Ordering::Relaxed);
-    inner
-        .stream_peak_queued
-        .fetch_max(writer.peak_queued_bytes() as u64, Ordering::Relaxed);
-    writer.close();
-    outcome
-}
-
 /// Run [`ServicePort::invoke_stream`] with a panic guard: a producer that
 /// dies mid-scan becomes an in-band server fault instead of an unwinding
 /// thread. Without this, the stream writer's abort-on-drop would dirty-close
@@ -1213,10 +952,10 @@ fn invoke_stream_guarded(
 /// in-flight window, so total buffering stays within `stream_window_bytes`
 /// plus one sealing frame regardless of batch width.
 ///
-/// Error shape feeds negotiation exactly like `/ogsa/stream`: streaming
-/// disabled answers 404 (the client's cue to fall back to the buffered
-/// batch); per-entry problems — unknown target, non-streaming operation, a
-/// mid-scan fault — seal only that entry and never poison its siblings.
+/// Error shape feeds negotiation: streaming disabled answers 404 (the
+/// client's cue to step down to the buffered batch); per-entry problems —
+/// unknown target, non-streaming operation, a mid-scan fault — seal only
+/// that entry and never poison its siblings.
 fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
     if !inner.config.streaming_enabled {
         return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
@@ -1325,9 +1064,13 @@ fn run_batch_stream(
 
     let faulted = AtomicUsize::new(0);
     let workers = entries.len().min(BATCH_PARALLELISM);
-    if workers <= 1 {
+    if let [entry] = entries {
+        if !run_batch_stream_entry(inner, 0, entry, ctx, writer, Some((site, started))) {
+            faulted.fetch_add(1, Ordering::Relaxed);
+        }
+    } else if workers <= 1 {
         for (index, entry) in entries.iter().enumerate() {
-            if !run_batch_stream_entry(inner, index as u32, entry, ctx, writer) {
+            if !run_batch_stream_entry(inner, index as u32, entry, ctx, writer, None) {
                 faulted.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1340,7 +1083,7 @@ fn run_batch_stream(
                     let _scope = ppg_context::scope(ctx);
                     for (offset, entry) in chunk.iter().enumerate() {
                         let index = (chunk_index * per + offset) as u32;
-                        if !run_batch_stream_entry(inner, index, entry, ctx, writer) {
+                        if !run_batch_stream_entry(inner, index, entry, ctx, writer, None) {
                             faulted.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -1366,13 +1109,16 @@ fn run_batch_stream(
 
 /// Stream one batch entry's section: entry head, entry-tagged row frames,
 /// entry-tagged trailer — or an entry fault that seals this entry alone.
-/// Returns `true` when the entry sealed cleanly with a trailer.
+/// `sole` carries the container's site label and the batch's start when
+/// this entry is the batch's only one. Returns `true` when the entry sealed
+/// cleanly with a trailer.
 fn run_batch_stream_entry(
     inner: &Arc<Inner>,
     index: u32,
     entry: &BatchEntry,
     ctx: &CallContext,
     writer: &pperf_httpd::StreamWriter,
+    sole: Option<(&str, Instant)>,
 ) -> bool {
     let started = Instant::now();
     if !writer.send_blocking(encode_entry_head(index)) {
@@ -1456,11 +1202,26 @@ fn run_batch_stream_entry(
     };
     let sealed = match result {
         Ok(rows) => {
-            // Entry trailers carry no trace: every entry shares one context,
-            // so per-entry traces would replay the same spans N times. The
-            // access log (and the caller's own spans) carry the story.
+            // The stream head flushed long ago, so a trailer is the trace's
+            // only ride home. A sole entry shares its context with no
+            // sibling and carries the whole trace, container hop included.
+            // Larger batches send none: every entry shares one context, so
+            // per-entry traces would replay the same spans N times.
+            let trace = match sole {
+                Some((site, batch_started)) => {
+                    ctx.record_span(
+                        "ogsi.container",
+                        "multiCallStream",
+                        site,
+                        batch_started,
+                        "ok",
+                    );
+                    ppg_context::encode_trace(&ctx.spans())
+                }
+                None => String::new(),
+            };
             let mut sealed = true;
-            for frame in frame_writer.finish_with_trace("") {
+            for frame in frame_writer.finish_with_trace(&trace) {
                 if !writer.send_blocking(frame) {
                     sealed = false;
                     break;
@@ -1642,26 +1403,6 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
         (
             "ppg_binary_entries_total",
             inner.binary_entries.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_calls_total",
-            inner.stream_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_frames_total",
-            inner.stream_frames.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_rows_total",
-            inner.stream_rows.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_faults_total",
-            inner.stream_faults.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_peak_queued_bytes",
-            inner.stream_peak_queued.load(Ordering::Relaxed),
         ),
         (
             "ppg_batch_stream_calls_total",

@@ -49,7 +49,7 @@ pub use registry::{Organization, RegistryService, RegistryStub, ServiceEntry};
 pub use service::{GridServiceStub, ServicePort};
 pub use service_data::ServiceData;
 pub use stub::{
-    BatchStreamEntryOutcome, BatchStreamResult, BatchWire, ServiceStub, StreamOutcome, StreamWire,
+    force_xml, BatchStreamEntryOutcome, BatchStreamResult, ServiceStub, Wire, WIRE_VERSION_SDE,
 };
 
 /// The namespace used by framework-level (OGSI) operations.

@@ -10,8 +10,8 @@ use pperf_soap::wsdl::ServiceDescription;
 use pperf_soap::{
     decode_batch_response, decode_binary_batch_response, decode_response, encode_batch_call,
     encode_binary_batch_call, encode_call, encode_call_with_context, BatchEntry, BatchOutcome,
-    BatchStreamEvent, BatchStreamReader, Fault, FrameReader, SoapError, StreamEvent, Value,
-    WireError, BINARY_CONTENT_TYPE, STREAM_CONTENT_TYPE,
+    BatchStreamEvent, BatchStreamReader, Fault, SoapError, Value, WireError, BINARY_CONTENT_TYPE,
+    STREAM_CONTENT_TYPE,
 };
 use ppg_context::CallContext;
 use std::sync::Arc;
@@ -38,45 +38,62 @@ fn fault_tag(fault: &Fault) -> &'static str {
     }
 }
 
-/// Which codec actually carried a [`ServiceStub::call_batch_auto`] exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchWire {
-    /// PPGB binary frames carried the exchange (or at least the response,
-    /// on the first negotiated contact).
-    Binary,
-    /// SOAP/XML carried both directions (legacy peer, or `PPG_FORCE_XML=1`).
-    Xml,
-    /// A binary attempt failed below the application layer (legacy site,
-    /// route gone, corrupt frame); the outcomes came from the transparent
-    /// XML re-send.
-    BinaryFallback,
+/// Whether `PPG_FORCE_XML=1` pins every exchange to the XML wires: the
+/// operational escape hatch, and how CI proves the wires agree.
+pub fn force_xml() -> bool {
+    std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1")
 }
 
-/// How one binary `/ogsa/binary` attempt ended.
-enum BinaryAttempt {
-    /// Decoded per-entry outcomes.
-    Ok(Vec<BatchOutcome>),
-    /// The peer does not (or no longer does) speak PPGB — 404 from a legacy
-    /// site, a non-binary answer, or a corrupt frame. The caller should
-    /// forget the capability and re-send as XML.
-    Downgrade,
-    /// A real failure (transport error, deadline, whole-batch fault) that
-    /// re-sending would not cure; surfaced as-is.
-    Hard(OgsiError),
+/// Service-data element naming the newest data-plane [`Wire`] a site
+/// speaks, as an integer version.
+pub const WIRE_VERSION_SDE: &str = "wireVersion";
+
+/// The data-plane wires, in negotiation order. A site advertises the newest
+/// one it speaks as its [`WIRE_VERSION_SDE`] service data; each version adds
+/// one wire on top of every older one, so a client can step down a rung at
+/// a time when a peer turns out older than it claimed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Wire {
+    /// Version 0: per-call SOAP `getPR`, the paper's wire.
+    PerCall,
+    /// Version 1: XML `multiCall` batches on `POST /ogsa/batch`.
+    XmlBatch,
+    /// Version 2: PPGB binary batches on `POST /ogsa/binary`.
+    BinaryBatch,
+    /// Version 3: interleaved batch streams on `POST /ogsa/batch-stream`.
+    BatchStream,
 }
 
-/// Which wire actually carried a [`ServiceStub::call_stream`] result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamWire {
-    /// Incremental PPGB frames on `POST /ogsa/stream`.
-    Stream,
-    /// The buffered call, because `PPG_FORCE_XML=1` pinned the old path.
-    Buffered,
-    /// A streaming attempt failed below the application layer (legacy site,
-    /// route gone, corrupt head); the rows came from the transparent
-    /// buffered re-send. Callers use this to remember the peer as
-    /// non-streaming.
-    StreamFallback,
+impl Wire {
+    /// The newest wire, which sites of this release advertise by default.
+    pub const LATEST: Wire = Wire::BatchStream;
+
+    /// The wire a `wireVersion` value names. Zero or below is per-call
+    /// SOAP; versions newer than this release clamp to [`Wire::LATEST`].
+    pub fn from_version(version: i64) -> Wire {
+        match version {
+            i64::MIN..=0 => Wire::PerCall,
+            1 => Wire::XmlBatch,
+            2 => Wire::BinaryBatch,
+            _ => Wire::BatchStream,
+        }
+    }
+
+    /// This wire's `wireVersion` number.
+    pub fn version(self) -> i64 {
+        self as i64
+    }
+
+    /// The next older batch wire: where a batch goes when the peer turns
+    /// out not to speak this one. Every container serves the XML batch, so
+    /// it is the floor.
+    pub fn step_down(self) -> Wire {
+        match self {
+            Wire::BatchStream => Wire::BinaryBatch,
+            Wire::BinaryBatch | Wire::XmlBatch => Wire::XmlBatch,
+            Wire::PerCall => Wire::PerCall,
+        }
+    }
 }
 
 /// How one entry of a [`ServiceStub::call_batch_stream`] ended.
@@ -112,17 +129,21 @@ pub struct BatchStreamResult {
     pub cancelled: bool,
 }
 
-/// Outcome of a completed [`ServiceStub::call_stream`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamOutcome {
-    /// Rows delivered to the consumer callback.
-    pub rows: u64,
-    /// Which wire carried them.
-    pub wire: StreamWire,
-    /// True when the consumer callback stopped the stream early at a frame
-    /// boundary (its return was `false`); the rows delivered so far are
-    /// valid but the stream was abandoned, not completed.
-    pub cancelled: bool,
+/// Refuse to send when `ctx`'s budget is already spent (deadline or
+/// cancel), recording the refusal as this hop's span.
+fn check_budget(ctx: &CallContext, operation: &str, site: &str, started: Instant) -> Result<()> {
+    if !ctx.expired() {
+        return Ok(());
+    }
+    let outcome = if ctx.cancelled() {
+        "cancelled-before-send"
+    } else {
+        "deadline-exceeded-before-send"
+    };
+    ctx.record_span("ogsi.stub", operation, site, started, outcome);
+    Err(OgsiError::DeadlineExceeded(format!(
+        "{operation} on {site}: budget exhausted before send"
+    )))
 }
 
 /// Fill every entry slot a dead batch stream left unsealed with a
@@ -206,34 +227,14 @@ impl ServiceStub {
     ) -> Result<Value> {
         let started = Instant::now();
         let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", operation, &site, started, outcome);
-            return Err(OgsiError::DeadlineExceeded(format!(
-                "{operation} on {site}: budget exhausted before send"
-            )));
-        }
+        check_budget(ctx, operation, &site, started)?;
         let body = encode_call_with_context(operation, &self.namespace, params, ctx);
         let mut request = Request::post(
             self.url.path.clone(),
             "text/xml; charset=utf-8",
             body.into_bytes(),
         );
-        request
-            .headers
-            .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-        if let Some(ms) = ctx.deadline_ms() {
-            request
-                .headers
-                .set(ppg_context::DEADLINE_MS_HEADER, ms.to_string());
-        }
-        if !ctx.leg_tag().is_empty() {
-            request.headers.set(ppg_context::LEG_HEADER, ctx.leg_tag());
-        }
+        self.set_context_headers(&mut request, ctx);
         let response = match self
             .client
             .send_with_deadline(&self.url, &request, ctx.deadline())
@@ -269,14 +270,7 @@ impl ServiceStub {
                 Ok(v)
             }
             Err(SoapError::Fault(f)) => {
-                let outcome = if f.is_deadline_exceeded() {
-                    "deadline-exceeded"
-                } else if f.is_cancelled() {
-                    "cancelled"
-                } else {
-                    "fault"
-                };
-                ctx.record_span("ogsi.stub", operation, &site, started, outcome);
+                ctx.record_span("ogsi.stub", operation, &site, started, fault_tag(&f));
                 Err(OgsiError::Fault(f))
             }
             Err(e) => {
@@ -348,120 +342,26 @@ impl ServiceStub {
 
     /// Invoke a multi-call batch against the container hosting this stub's
     /// service: N sub-calls (each naming its own target path) ride one HTTP
-    /// exchange to `POST /ogsa/batch`. Returns per-entry outcomes in request
-    /// order. Transport failures and whole-batch refusals are this call's
-    /// error; per-entry faults are each entry's own.
+    /// exchange to `POST /ogsa/batch` as a SOAP `multiCall` envelope.
+    /// Returns per-entry outcomes in request order. Transport failures and
+    /// whole-batch refusals are this call's error; per-entry faults are
+    /// each entry's own.
     pub fn call_batch(
         &self,
         entries: &[BatchEntry],
         ctx: &CallContext,
     ) -> Result<Vec<BatchOutcome>> {
-        self.call_batch_xml(entries, ctx, false)
-            .map(|(outcomes, _)| outcomes)
-    }
-
-    /// Like [`ServiceStub::call_batch`], but codec-negotiating: binary PPGB
-    /// frames are used whenever the peer is known (or turns out) to speak
-    /// them, with transparent per-site fallback to XML.
-    ///
-    /// * `PPG_FORCE_XML=1` pins every exchange to XML (operational escape
-    ///   hatch, also how CI proves the two planes agree).
-    /// * A peer previously marked binary gets a PPGB frame on
-    ///   `POST /ogsa/binary`; if that site meanwhile downgraded (404, a
-    ///   non-binary answer, a corrupt frame) the capability is forgotten and
-    ///   the batch is re-sent as XML. Batch traffic is `getPR`-style reads,
-    ///   so the re-send cannot double-execute anything destructive.
-    /// * An unknown peer gets the XML batch with
-    ///   `Accept: application/x-ppg-binary`; a binary-capable container
-    ///   answers in kind and is remembered for next time.
-    ///
-    /// Returns the outcomes plus which wire actually carried them, so
-    /// callers can keep fallback counters without re-deriving the story.
-    pub fn call_batch_auto(
-        &self,
-        entries: &[BatchEntry],
-        ctx: &CallContext,
-    ) -> Result<(Vec<BatchOutcome>, BatchWire)> {
-        if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
-            return self
-                .call_batch_xml(entries, ctx, false)
-                .map(|(outcomes, _)| (outcomes, BatchWire::Xml));
-        }
-        let site = self.url.authority();
-        if self.client.is_binary(&site) {
-            match self.call_batch_binary(entries, ctx) {
-                BinaryAttempt::Ok(outcomes) => return Ok((outcomes, BatchWire::Binary)),
-                BinaryAttempt::Hard(e) => return Err(e),
-                BinaryAttempt::Downgrade => {
-                    self.client.forget_binary(&site);
-                    return self
-                        .call_batch_xml(entries, ctx, false)
-                        .map(|(outcomes, _)| (outcomes, BatchWire::BinaryFallback));
-                }
-            }
-        }
-        self.call_batch_xml(entries, ctx, true)
-    }
-
-    /// The XML batch exchange. With `advertise`, the request carries
-    /// `Accept: application/x-ppg-binary` and a binary answer is accepted
-    /// (and the peer remembered); without it the response must be XML.
-    fn call_batch_xml(
-        &self,
-        entries: &[BatchEntry],
-        ctx: &CallContext,
-        advertise: bool,
-    ) -> Result<(Vec<BatchOutcome>, BatchWire)> {
         let started = Instant::now();
         let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, outcome);
-            return Err(OgsiError::DeadlineExceeded(format!(
-                "multiCall on {site}: budget exhausted before send"
-            )));
-        }
+        check_budget(ctx, "multiCall", &site, started)?;
         let body = encode_batch_call(entries, Some(ctx));
-        let mut url = self.url.clone();
-        url.path = "/ogsa/batch".to_owned();
-        let mut request = Request::post(
-            url.path.clone(),
+        let response = self.send_to(
+            "/ogsa/batch",
             "text/xml; charset=utf-8",
             body.into_bytes(),
-        );
-        if advertise {
-            request.headers.set("Accept", BINARY_CONTENT_TYPE);
-        }
-        self.set_context_headers(&mut request, ctx);
-        let response = match self
-            .client
-            .send_with_deadline(&url, &request, ctx.deadline())
-        {
-            Ok(response) => response,
-            Err(HttpError::TimedOut) => {
-                ctx.record_span(
-                    "ogsi.stub",
-                    "multiCall",
-                    &site,
-                    started,
-                    "deadline-exceeded",
-                );
-                return Err(OgsiError::DeadlineExceeded(format!(
-                    "multiCall on {site}: no response within budget"
-                )));
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "transport-error");
-                return Err(OgsiError::Transport(e));
-            }
-        };
-        if let Some(trace) = response.headers.get(ppg_context::TRACE_HEADER) {
-            ctx.extend_spans(ppg_context::decode_trace(trace));
-        }
+            ctx,
+            started,
+        )?;
         if !response.status.is_success() && response.status.0 != 500 {
             ctx.record_span("ogsi.stub", "multiCall", &site, started, "http-error");
             return Err(OgsiError::HttpStatus(
@@ -469,31 +369,10 @@ impl ServiceStub {
                 response.body_str().into_owned(),
             ));
         }
-        if advertise && is_binary_response(&response) {
-            // The container took the advertisement: the response is a PPGB
-            // frame, and this site speaks binary from here on.
-            return match decode_binary_batch_response(&response.body) {
-                Ok(outcomes) => {
-                    self.client.mark_binary(&site);
-                    ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                    Ok((outcomes, BatchWire::Binary))
-                }
-                Err(WireError::Fault(f)) => {
-                    ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                    Err(OgsiError::Fault(f))
-                }
-                Err(_) => {
-                    // Corrupt negotiated answer: stay on XML and re-send.
-                    ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
-                    self.call_batch_xml(entries, ctx, false)
-                        .map(|(outcomes, _)| (outcomes, BatchWire::BinaryFallback))
-                }
-            };
-        }
         match decode_batch_response(&response.body_str()) {
             Ok(outcomes) => {
                 ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                Ok((outcomes, BatchWire::Xml))
+                Ok(outcomes)
             }
             Err(SoapError::Fault(f)) => {
                 ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
@@ -506,25 +385,58 @@ impl ServiceStub {
         }
     }
 
-    /// One PPGB attempt against `POST /ogsa/binary`.
-    fn call_batch_binary(&self, entries: &[BatchEntry], ctx: &CallContext) -> BinaryAttempt {
+    /// [`ServiceStub::call_batch`] over the PPGB binary codec: one
+    /// length-prefixed frame each way on `POST /ogsa/binary`.
+    ///
+    /// `Ok(None)` means "this peer does not speak PPGB" — a 404 from a site
+    /// that predates the codec, a non-binary answer, or a corrupt frame.
+    /// The caller steps down to the XML batch, which surfaces any real
+    /// fault; batch traffic is `getPR`-style reads, so the re-send cannot
+    /// double-execute anything destructive.
+    pub fn call_batch_binary(
+        &self,
+        entries: &[BatchEntry],
+        ctx: &CallContext,
+    ) -> Result<Option<Vec<BatchOutcome>>> {
         let started = Instant::now();
         let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, outcome);
-            return BinaryAttempt::Hard(OgsiError::DeadlineExceeded(format!(
-                "multiCall on {site}: budget exhausted before send"
-            )));
-        }
+        check_budget(ctx, "multiCall", &site, started)?;
         let frame = encode_binary_batch_call(entries, Some(ctx));
+        let response = self.send_to("/ogsa/binary", BINARY_CONTENT_TYPE, frame, ctx, started)?;
+        if !is_binary_response(&response) {
+            ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-downgrade");
+            return Ok(None);
+        }
+        match decode_binary_batch_response(&response.body) {
+            Ok(outcomes) => {
+                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
+                Ok(Some(outcomes))
+            }
+            Err(WireError::Fault(f)) => {
+                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
+                Err(OgsiError::Fault(f))
+            }
+            Err(_) => {
+                ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
+                Ok(None)
+            }
+        }
+    }
+
+    /// POST one buffered batch body to `path` on this stub's container
+    /// under `ctx`'s deadline, merging the server's `X-PPG-Trace` spans.
+    fn send_to(
+        &self,
+        path: &str,
+        content_type: &str,
+        body: Vec<u8>,
+        ctx: &CallContext,
+        started: Instant,
+    ) -> Result<Response> {
+        let site = self.url.authority();
         let mut url = self.url.clone();
-        url.path = "/ogsa/binary".to_owned();
-        let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
+        url.path = path.to_owned();
+        let mut request = Request::post(path, content_type, body);
         self.set_context_headers(&mut request, ctx);
         let response = match self
             .client
@@ -539,258 +451,19 @@ impl ServiceStub {
                     started,
                     "deadline-exceeded",
                 );
-                return BinaryAttempt::Hard(OgsiError::DeadlineExceeded(format!(
+                return Err(OgsiError::DeadlineExceeded(format!(
                     "multiCall on {site}: no response within budget"
                 )));
             }
             Err(e) => {
                 ctx.record_span("ogsi.stub", "multiCall", &site, started, "transport-error");
-                return BinaryAttempt::Hard(OgsiError::Transport(e));
+                return Err(OgsiError::Transport(e));
             }
         };
         if let Some(trace) = response.headers.get(ppg_context::TRACE_HEADER) {
             ctx.extend_spans(ppg_context::decode_trace(trace));
         }
-        if !is_binary_response(&response) {
-            // A legacy site (404), a proxy that stripped the codec, or an
-            // XML fault: whichever it is, this peer no longer answers in
-            // binary. Drop to XML, which will surface any real fault.
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-downgrade");
-            return BinaryAttempt::Downgrade;
-        }
-        match decode_binary_batch_response(&response.body) {
-            Ok(outcomes) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                BinaryAttempt::Ok(outcomes)
-            }
-            Err(WireError::Fault(f)) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                BinaryAttempt::Hard(OgsiError::Fault(f))
-            }
-            Err(_) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
-                BinaryAttempt::Downgrade
-            }
-        }
-    }
-
-    /// Invoke `operation` expecting a row stream: the result arrives as
-    /// incremental PPGB frames from `POST /ogsa/stream`, each data frame's
-    /// rows handed to `on_rows` as they decode — constant memory regardless
-    /// of result size. `on_rows` returning `false` abandons the stream at
-    /// that frame boundary (the connection is dropped, which the producer
-    /// observes as consumer death).
-    ///
-    /// Negotiation follows the binary-codec rules: `PPG_FORCE_XML=1` pins
-    /// the buffered XML call; a peer that answers 404 (legacy site,
-    /// streaming disabled, non-streaming operation) or whose stream head is
-    /// not the stream codec gets a transparent buffered re-send, reported
-    /// as [`StreamWire::StreamFallback`] so callers can remember the peer.
-    ///
-    /// A stream that dies after delivering rows is NOT retried — the rows
-    /// already reached `on_rows` — and surfaces as
-    /// [`OgsiError::StreamTruncated`]; an in-band kind-3 frame surfaces as
-    /// the fault it carries.
-    pub fn call_stream(
-        &self,
-        operation: &str,
-        params: &[(&str, Value)],
-        ctx: &CallContext,
-        on_rows: &mut dyn FnMut(Vec<String>) -> bool,
-    ) -> Result<StreamOutcome> {
-        if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
-            return self.call_buffered_rows(operation, params, ctx, on_rows, StreamWire::Buffered);
-        }
-        match self.call_stream_once(operation, params, ctx, on_rows)? {
-            Some(outcome) => Ok(outcome),
-            None => {
-                self.call_buffered_rows(operation, params, ctx, on_rows, StreamWire::StreamFallback)
-            }
-        }
-    }
-
-    /// The buffered fallback: one ordinary call, rows delivered to the
-    /// callback in a single gulp. The result is already complete when the
-    /// callback runs, so its cancel return is moot here.
-    fn call_buffered_rows(
-        &self,
-        operation: &str,
-        params: &[(&str, Value)],
-        ctx: &CallContext,
-        on_rows: &mut dyn FnMut(Vec<String>) -> bool,
-        wire: StreamWire,
-    ) -> Result<StreamOutcome> {
-        let rows = self.call_str_array_with_context(operation, params, ctx)?;
-        let total = rows.len() as u64;
-        if !rows.is_empty() {
-            let _ = on_rows(rows);
-        }
-        Ok(StreamOutcome {
-            rows: total,
-            wire,
-            cancelled: false,
-        })
-    }
-
-    /// One streaming attempt. `Ok(None)` means "this peer does not stream":
-    /// the caller should fall back to the buffered call. Failures after the
-    /// stream started delivering rows are NOT downgrades — re-sending would
-    /// duplicate rows the callback already consumed.
-    fn call_stream_once(
-        &self,
-        operation: &str,
-        params: &[(&str, Value)],
-        ctx: &CallContext,
-        on_rows: &mut dyn FnMut(Vec<String>) -> bool,
-    ) -> Result<Option<StreamOutcome>> {
-        let started = Instant::now();
-        let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", operation, &site, started, outcome);
-            return Err(OgsiError::DeadlineExceeded(format!(
-                "{operation} on {site}: budget exhausted before send"
-            )));
-        }
-        let entry = BatchEntry {
-            path: self.url.path.clone(),
-            method: operation.to_owned(),
-            namespace: Some(self.namespace.clone()),
-            params: params
-                .iter()
-                .map(|(n, v)| ((*n).to_owned(), v.clone()))
-                .collect(),
-        };
-        let frame = encode_binary_batch_call(std::slice::from_ref(&entry), Some(ctx));
-        let mut url = self.url.clone();
-        url.path = "/ogsa/stream".to_owned();
-        let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
-        request.headers.set("Accept", STREAM_CONTENT_TYPE);
-        self.set_context_headers(&mut request, ctx);
-        let mut stream = match self.client.send_streaming(&url, &request, ctx.deadline()) {
-            Ok(stream) => stream,
-            Err(HttpError::TimedOut) => {
-                ctx.record_span("ogsi.stub", operation, &site, started, "deadline-exceeded");
-                return Err(OgsiError::DeadlineExceeded(format!(
-                    "{operation} on {site}: no stream head within budget"
-                )));
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", operation, &site, started, "transport-error");
-                return Err(OgsiError::Transport(e));
-            }
-        };
-        if let Some(trace) = stream.headers.get(ppg_context::TRACE_HEADER) {
-            ctx.extend_spans(ppg_context::decode_trace(trace));
-        }
-        let is_stream = stream.status.is_success()
-            && stream
-                .content_type()
-                .is_some_and(|ct| ct.starts_with(STREAM_CONTENT_TYPE));
-        if !is_stream {
-            // Legacy site (404), streaming disabled, or a proxy that
-            // stripped the codec: fall back to the buffered call, which
-            // will surface any real fault.
-            ctx.record_span("ogsi.stub", operation, &site, started, "stream-downgrade");
-            return Ok(None);
-        }
-        let mut reader = FrameReader::new();
-        let mut delivered = 0u64;
-        let mut buf = [0u8; 8192];
-        loop {
-            loop {
-                match reader.next_event() {
-                    Ok(Some(StreamEvent::Rows(rows))) => {
-                        delivered += rows.len() as u64;
-                        if !on_rows(rows) {
-                            // Frame-boundary cancel: abandon the stream.
-                            // Dropping it drops the connection, which the
-                            // producer observes as consumer death.
-                            ctx.record_span(
-                                "ogsi.stub",
-                                operation,
-                                &site,
-                                started,
-                                "stream-cancelled",
-                            );
-                            return Ok(Some(StreamOutcome {
-                                rows: delivered,
-                                wire: StreamWire::Stream,
-                                cancelled: true,
-                            }));
-                        }
-                    }
-                    Ok(Some(StreamEvent::End { rows })) => {
-                        // Drain the transport epilogue so the connection
-                        // can be checked back into the pool.
-                        while matches!(stream.read_data(&mut buf), Ok(n) if n > 0) {}
-                        // The producer's spans ride the trailer (stream
-                        // headers flushed before the handler ran); merge
-                        // them ahead of this hop's own span.
-                        if !reader.trailer_trace().is_empty() {
-                            ctx.extend_spans(ppg_context::decode_trace(reader.trailer_trace()));
-                        }
-                        ctx.record_span("ogsi.stub", operation, &site, started, "ok");
-                        return Ok(Some(StreamOutcome {
-                            rows,
-                            wire: StreamWire::Stream,
-                            cancelled: false,
-                        }));
-                    }
-                    Ok(None) => break,
-                    Err(WireError::Fault(f)) => {
-                        ctx.record_span("ogsi.stub", operation, &site, started, fault_tag(&f));
-                        return Err(OgsiError::Fault(f));
-                    }
-                    Err(_) if delivered == 0 => {
-                        // Corrupt before any rows flowed: safe to re-send
-                        // buffered, this peer's stream plane is unusable.
-                        ctx.record_span("ogsi.stub", operation, &site, started, "stream-corrupt");
-                        return Ok(None);
-                    }
-                    Err(e) => {
-                        ctx.record_span("ogsi.stub", operation, &site, started, "stream-truncated");
-                        return Err(OgsiError::StreamTruncated {
-                            rows: delivered,
-                            detail: e.to_string(),
-                        });
-                    }
-                }
-            }
-            match stream.read_data(&mut buf) {
-                Ok(0) => {
-                    // EOF before the trailer: the producer (or its site)
-                    // died mid-flight. Rows delivered so far stand.
-                    ctx.record_span("ogsi.stub", operation, &site, started, "stream-truncated");
-                    return Err(OgsiError::StreamTruncated {
-                        rows: delivered,
-                        detail: "stream ended before trailer".into(),
-                    });
-                }
-                Ok(n) => reader.feed(&buf[..n]),
-                Err(HttpError::TimedOut) => {
-                    ctx.record_span("ogsi.stub", operation, &site, started, "deadline-exceeded");
-                    return Err(OgsiError::DeadlineExceeded(format!(
-                        "{operation} on {site}: stream stalled past budget"
-                    )));
-                }
-                Err(e) if delivered == 0 => {
-                    ctx.record_span("ogsi.stub", operation, &site, started, "transport-error");
-                    return Err(OgsiError::Transport(e));
-                }
-                Err(e) => {
-                    ctx.record_span("ogsi.stub", operation, &site, started, "stream-truncated");
-                    return Err(OgsiError::StreamTruncated {
-                        rows: delivered,
-                        detail: e.to_string(),
-                    });
-                }
-            }
-        }
+        Ok(response)
     }
 
     /// Invoke a multi-call batch whose results stream back as *interleaved*
@@ -799,10 +472,10 @@ impl ServiceStub {
     /// whatever order the server's parallel producers yield them — a 2-call
     /// federated fan-out streams end to end in one exchange per site.
     ///
-    /// `Ok(None)` means "this peer does not batch-stream" (404 from a legacy
-    /// or PR-4-era site, a non-stream head, or a corrupt frame before any
-    /// rows flowed): the caller should fall back to the buffered batch and
-    /// remember the peer. After rows have been delivered the attempt is
+    /// `Ok(None)` means "this peer does not batch-stream" (404 from a site
+    /// below wire version 3, a non-stream head, or a corrupt frame before
+    /// any rows flowed): the caller should fall back to the buffered batch
+    /// and remember the peer. After rows have been delivered the attempt is
     /// never retried — a dead stream surfaces as per-entry
     /// [`BatchStreamEntryOutcome::Truncated`] outcomes inside `Ok(Some)`,
     /// and sibling entries that already sealed keep their real outcomes.
@@ -820,17 +493,7 @@ impl ServiceStub {
     ) -> Result<Option<BatchStreamResult>> {
         let started = Instant::now();
         let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", "multiCallStream", &site, started, outcome);
-            return Err(OgsiError::DeadlineExceeded(format!(
-                "multiCallStream on {site}: budget exhausted before send"
-            )));
-        }
+        check_budget(ctx, "multiCallStream", &site, started)?;
         let frame = encode_binary_batch_call(entries, Some(ctx));
         let mut url = self.url.clone();
         url.path = "/ogsa/batch-stream".to_owned();
@@ -870,9 +533,9 @@ impl ServiceStub {
                 .content_type()
                 .is_some_and(|ct| ct.starts_with(STREAM_CONTENT_TYPE));
         if !is_stream {
-            // Legacy or PR-4-era site: 404 (route absent) or a buffered
-            // answer. Fall back to the buffered batch, which will surface
-            // any real fault.
+            // A site below wire version 3: 404 (route absent) or a
+            // buffered answer. Fall back to the buffered batch, which will
+            // surface any real fault.
             ctx.record_span(
                 "ogsi.stub",
                 "multiCallStream",
@@ -933,6 +596,12 @@ impl ServiceStub {
                         }
                     }
                     Ok(Some(BatchStreamEvent::EntryEnd { entry, rows })) => {
+                        // A sole entry's trailer carries the producer's
+                        // spans; merge them ahead of this hop's own span.
+                        let trace = reader.entry_trace(entry);
+                        if !trace.is_empty() {
+                            ctx.extend_spans(ppg_context::decode_trace(trace));
+                        }
                         outcomes[entry as usize] = Some(BatchStreamEntryOutcome::Done { rows });
                     }
                     Ok(Some(BatchStreamEvent::EntryFault { entry, fault })) => {

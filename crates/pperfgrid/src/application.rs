@@ -6,7 +6,7 @@ use crate::manager::Manager;
 use crate::wrapper::ApplicationWrapper;
 use crate::APPLICATION_NS;
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Factory, Gsh, ServiceData, ServicePort, ServiceStub};
+use pperf_ogsi::{Factory, Gsh, ServiceData, ServicePort, ServiceStub, Wire, WIRE_VERSION_SDE};
 use pperf_soap::wsdl::{Operation, PortType, ServiceDescription};
 use pperf_soap::{Call, Fault, Value, ValueType};
 use std::sync::Arc;
@@ -63,10 +63,7 @@ pub fn application_description() -> ServiceDescription {
 pub struct ApplicationService {
     wrapper: Arc<dyn ApplicationWrapper>,
     manager: Arc<Manager>,
-    advertise_batch: bool,
-    advertise_binary: bool,
-    advertise_streaming: bool,
-    advertise_batch_stream: bool,
+    wire_version: Wire,
 }
 
 impl ApplicationService {
@@ -75,44 +72,16 @@ impl ApplicationService {
         ApplicationService {
             wrapper,
             manager,
-            advertise_batch: true,
-            advertise_binary: true,
-            advertise_streaming: true,
-            advertise_batch_stream: true,
+            wire_version: Wire::LATEST,
         }
     }
 
-    /// Control whether instances advertise `supportsBatch` service data.
-    /// Off models a pre-batch site: its container may still answer
-    /// `/ogsa/batch`, but federation clients won't try, falling back to
-    /// per-call getPR.
-    pub fn with_batch_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch = advertise;
-        self
-    }
-
-    /// Control whether instances advertise `supportsBinary` service data.
-    /// Off models a site whose container predates the PPGB frame codec:
-    /// federation clients keep speaking XML to it.
-    pub fn with_binary_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_binary = advertise;
-        self
-    }
-
-    /// Control whether instances advertise `supportsStreaming` service data.
-    /// Off models a site whose Execution containers predate incremental
-    /// result streams: federation clients buffer its getPR answers whole.
-    pub fn with_streaming_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_streaming = advertise;
-        self
-    }
-
-    /// Control whether instances advertise `supportsBatchStream` service
-    /// data. Off models a site whose container batches and streams but
-    /// predates the interleaved `/ogsa/batch-stream` wire: federation
-    /// clients keep its batches buffered.
-    pub fn with_batch_stream_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch_stream = advertise;
+    /// The newest data-plane wire instances advertise as `wireVersion`
+    /// service data. An older wire models a site whose container predates
+    /// the newer ones: federation clients never try them, so its container
+    /// may still serve them unused.
+    pub fn with_wire_version(mut self, wire: Wire) -> Self {
+        self.wire_version = wire;
         self
     }
 
@@ -199,34 +168,10 @@ impl ServicePort for ApplicationService {
         if let Some(gsh) = self.manager.self_gsh() {
             data = data.with("managerGsh", Value::from(gsh.as_str()));
         }
-        // Capability negotiation for the batched wire protocol: clients that
-        // see `supportsBatch = true` may fold their per-instance getPR fan-out
-        // into one `/ogsa/batch` multi-call per site; absent or false means
-        // per-call only.
-        if self.advertise_batch {
-            data = data.with("supportsBatch", Value::Bool(true));
-        }
-        // Second capability axis: `supportsBinary = true` means the hosting
-        // container decodes PPGB frames on `/ogsa/binary`, so batch-capable
-        // clients may skip the XML probe and open with binary directly.
-        if self.advertise_binary {
-            data = data.with("supportsBinary", Value::Bool(true));
-        }
-        // Third capability axis: `supportsStreaming = true` means this
-        // site's Execution containers answer `/ogsa/stream` with incremental
-        // PPGB result frames, so per-call getPR clients may consume scans
-        // frame-at-a-time instead of buffering whole bodies.
-        if self.advertise_streaming {
-            data = data.with("supportsStreaming", Value::Bool(true));
-        }
-        // Fourth capability axis: `supportsBatchStream = true` means the
-        // container interleaves a whole batch's row frames on
-        // `/ogsa/batch-stream`, so clients may stream their multi-call
-        // groups instead of buffering the mixed response. Only honored by
-        // clients alongside `supportsBatch` and `supportsStreaming`.
-        if self.advertise_batch_stream {
-            data = data.with("supportsBatchStream", Value::Bool(true));
-        }
+        // Wire negotiation: one ordered capability. Clients pick the newest
+        // wire up to this version (0 = per-call SOAP, 1 = XML multiCall,
+        // 2 = PPGB binary batch, 3 = batch stream); absent means 0.
+        data = data.with(WIRE_VERSION_SDE, Value::Int(self.wire_version.version()));
         data
     }
 }
@@ -235,10 +180,7 @@ impl ServicePort for ApplicationService {
 pub struct ApplicationFactory {
     wrapper: Arc<dyn ApplicationWrapper>,
     manager: Arc<Manager>,
-    advertise_batch: bool,
-    advertise_binary: bool,
-    advertise_streaming: bool,
-    advertise_batch_stream: bool,
+    wire_version: Wire,
 }
 
 impl ApplicationFactory {
@@ -247,34 +189,14 @@ impl ApplicationFactory {
         ApplicationFactory {
             wrapper,
             manager,
-            advertise_batch: true,
-            advertise_binary: true,
-            advertise_streaming: true,
-            advertise_batch_stream: true,
+            wire_version: Wire::LATEST,
         }
     }
 
-    /// Control whether created instances advertise `supportsBatch`.
-    pub fn with_batch_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch = advertise;
-        self
-    }
-
-    /// Control whether created instances advertise `supportsBinary`.
-    pub fn with_binary_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_binary = advertise;
-        self
-    }
-
-    /// Control whether created instances advertise `supportsStreaming`.
-    pub fn with_streaming_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_streaming = advertise;
-        self
-    }
-
-    /// Control whether created instances advertise `supportsBatchStream`.
-    pub fn with_batch_stream_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch_stream = advertise;
+    /// The `wireVersion` created instances advertise (see
+    /// [`ApplicationService::with_wire_version`]).
+    pub fn with_wire_version(mut self, wire: Wire) -> Self {
+        self.wire_version = wire;
         self
     }
 }
@@ -287,10 +209,7 @@ impl Factory for ApplicationFactory {
     fn create(&self, _call: &Call) -> Result<Arc<dyn ServicePort>, Fault> {
         Ok(Arc::new(
             ApplicationService::new(Arc::clone(&self.wrapper), Arc::clone(&self.manager))
-                .with_batch_advertised(self.advertise_batch)
-                .with_binary_advertised(self.advertise_binary)
-                .with_streaming_advertised(self.advertise_streaming)
-                .with_batch_stream_advertised(self.advertise_batch_stream),
+                .with_wire_version(self.wire_version),
         ))
     }
 }

@@ -7,9 +7,11 @@ use crate::wrapper::{
 };
 use crate::{EXECUTION_NS, TYPE_UNDEFINED};
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Factory, Gsh, ServiceData, ServicePort, ServiceStub};
+use pperf_ogsi::{
+    BatchStreamEntryOutcome, Factory, Gsh, OgsiError, ServiceData, ServicePort, ServiceStub,
+};
 use pperf_soap::wsdl::{Operation, PortType, ServiceDescription};
-use pperf_soap::{pack_strs, unpack_strs, Call, Fault, Value, ValueType};
+use pperf_soap::{pack_strs, unpack_strs, BatchEntry, Call, Fault, Value, ValueType};
 use ppg_context::CallContext;
 use std::sync::Arc;
 use std::time::Instant;
@@ -564,10 +566,6 @@ impl ServicePort for ExecutionService {
             .with("timeStart", Value::Str(start))
             .with("timeEnd", Value::Str(end))
             .with("cacheEnabled", Value::Bool(self.cache_enabled))
-            .with("supportsBatch", Value::Bool(true))
-            .with("supportsBinary", Value::Bool(true))
-            .with("supportsStreaming", Value::Bool(true))
-            .with("supportsBatchStream", Value::Bool(true))
             .with("cacheEntries", Value::Int(self.cache.len() as i64))
             .with("cacheHits", Value::Int(hits as i64))
             .with("cacheMisses", Value::Int(misses as i64))
@@ -632,6 +630,32 @@ impl Factory for ExecutionFactory {
             PrCache::with_policy(self.cache_capacity, self.cache_policy),
         )))
     }
+}
+
+/// Which wire actually carried an [`ExecutionStub::get_pr_stream`] result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamWire {
+    /// Incremental PPGB frames: a one-entry `POST /ogsa/batch-stream`.
+    Stream,
+    /// The buffered call, because `PPG_FORCE_XML=1` pinned the old path.
+    Buffered,
+    /// The peer does not batch-stream (route missing, non-stream head,
+    /// corrupt frame before any rows); the rows came from the transparent
+    /// buffered re-send.
+    StreamFallback,
+}
+
+/// Outcome of a completed [`ExecutionStub::get_pr_stream`].
+#[derive(Debug, Clone, Copy)]
+pub struct StreamOutcome {
+    /// Rows delivered to the consumer callback.
+    pub rows: u64,
+    /// Which wire carried them.
+    pub wire: StreamWire,
+    /// True when the consumer callback stopped the stream early at a frame
+    /// boundary (its return was `false`); the rows delivered so far are
+    /// valid but the stream was abandoned, not completed.
+    pub cancelled: bool,
 }
 
 /// Typed client stub for the Execution PortType.
@@ -700,20 +724,85 @@ impl ExecutionStub {
             .call_str_array_with_context("getPR", &Self::pr_params(query), ctx)
     }
 
-    /// `getPR` as an incremental row stream: frames decode into `on_rows`
-    /// calls as they arrive, so client memory stays bounded by one frame
-    /// regardless of result size. Negotiation and fallback (legacy peers,
-    /// `PPG_FORCE_XML=1`) follow [`ServiceStub::call_stream`]; the returned
-    /// outcome names the wire that carried the rows. `on_rows` returning
-    /// `false` abandons the stream at that frame boundary.
+    /// `getPR` as an incremental row stream: the call rides a one-entry
+    /// [`ServiceStub::call_batch_stream`], so frames decode into `on_rows`
+    /// calls as they arrive and client memory stays bounded by one frame
+    /// regardless of result size. `on_rows` returning `false` abandons the
+    /// stream at that frame boundary.
+    ///
+    /// A peer that does not batch-stream gets a transparent buffered
+    /// `getPR` re-send, and `PPG_FORCE_XML=1` pins the buffered call; the
+    /// outcome names the wire that carried the rows. A stream that dies
+    /// after delivering rows is not retried (the rows already reached
+    /// `on_rows`) and surfaces as [`OgsiError::StreamTruncated`]; an
+    /// in-band fault surfaces as the fault it carries.
     pub fn get_pr_stream(
         &self,
         query: &PrQuery,
         ctx: &CallContext,
         on_rows: &mut dyn FnMut(Vec<String>) -> bool,
-    ) -> pperf_ogsi::Result<pperf_ogsi::StreamOutcome> {
-        self.stub
-            .call_stream("getPR", &Self::pr_params(query), ctx, on_rows)
+    ) -> pperf_ogsi::Result<StreamOutcome> {
+        let params = Self::pr_params(query);
+        if !pperf_ogsi::force_xml() {
+            let entry = BatchEntry::new(self.handle().url().path, "getPR", EXECUTION_NS, &params);
+            let streamed = self.stub.call_batch_stream(
+                std::slice::from_ref(&entry),
+                ctx,
+                &mut |_, rows| on_rows(rows),
+            )?;
+            let Some(streamed) = streamed else {
+                return self.get_pr_buffered(&params, ctx, on_rows, StreamWire::StreamFallback);
+            };
+            let outcome = streamed
+                .entries
+                .into_iter()
+                .next()
+                .expect("a one-entry batch stream reports one outcome");
+            return match outcome {
+                BatchStreamEntryOutcome::Done { rows } => Ok(StreamOutcome {
+                    rows,
+                    wire: StreamWire::Stream,
+                    cancelled: false,
+                }),
+                BatchStreamEntryOutcome::Fault(fault) => Err(OgsiError::Fault(fault)),
+                BatchStreamEntryOutcome::Truncated { rows, .. } if streamed.cancelled => {
+                    Ok(StreamOutcome {
+                        rows,
+                        wire: StreamWire::Stream,
+                        cancelled: true,
+                    })
+                }
+                BatchStreamEntryOutcome::Truncated { rows, detail } => {
+                    Err(OgsiError::StreamTruncated { rows, detail })
+                }
+            };
+        }
+        self.get_pr_buffered(&params, ctx, on_rows, StreamWire::Buffered)
+    }
+
+    /// The buffered leg of [`ExecutionStub::get_pr_stream`]: one ordinary
+    /// `getPR`, rows delivered to the callback in a single gulp. The result
+    /// is already complete when the callback runs, so its cancel return is
+    /// moot here.
+    fn get_pr_buffered(
+        &self,
+        params: &[(&str, Value)],
+        ctx: &CallContext,
+        on_rows: &mut dyn FnMut(Vec<String>) -> bool,
+        wire: StreamWire,
+    ) -> pperf_ogsi::Result<StreamOutcome> {
+        let rows = self
+            .stub
+            .call_str_array_with_context("getPR", params, ctx)?;
+        let total = rows.len() as u64;
+        if !rows.is_empty() {
+            let _ = on_rows(rows);
+        }
+        Ok(StreamOutcome {
+            rows: total,
+            wire,
+            cancelled: false,
+        })
     }
 
     /// `getPRBatch`: many tuples, one call, per-tuple outcomes in order.

@@ -54,6 +54,7 @@ pub use access::{ExecutionAccess, LocalSites};
 pub use application::{ApplicationFactory, ApplicationService, ApplicationStub};
 pub use execution::{
     decode_pr_tuple, encode_pr_tuple, ExecutionFactory, ExecutionService, ExecutionStub,
+    StreamOutcome, StreamWire,
 };
 pub use manager::{Manager, ManagerService, ManagerStub, Placement};
 pub use prcache::{CachePolicy, PrCache};

@@ -81,7 +81,8 @@ impl TimingLog {
 }
 
 /// An [`ExecutionWrapper`] decorator that records the elapsed time and
-/// result payload size of every `get_pr` into a [`TimingLog`].
+/// result payload size of every Mapping Layer call (`get_pr`, `get_pr_batch`
+/// and `get_pr_stream`) into a [`TimingLog`].
 pub struct TimedExecutionWrapper {
     inner: Arc<dyn ExecutionWrapper>,
     log: Arc<TimingLog>,
@@ -141,6 +142,32 @@ impl ExecutionWrapper for TimedExecutionWrapper {
             self.log.record_bytes(rows.iter().map(String::len).sum());
         }
         results
+    }
+
+    fn get_pr_stream(
+        &self,
+        query: &PrQuery,
+        sink: &mut dyn FnMut(Vec<String>) -> Result<(), WrapperError>,
+    ) -> Result<u64, WrapperError> {
+        // Forward so a natively streaming wrapper keeps its constant-memory
+        // scan. Time parked in the sink is the transport draining, not the
+        // data store working, so the one sample excludes it.
+        let start = Instant::now();
+        let mut in_sink = Duration::ZERO;
+        let mut bytes = 0usize;
+        let mut timed_sink = |rows: Vec<String>| {
+            bytes += rows.iter().map(String::len).sum::<usize>();
+            let entered = Instant::now();
+            let result = sink(rows);
+            in_sink += entered.elapsed();
+            result
+        };
+        let result = self.inner.get_pr_stream(query, &mut timed_sink);
+        self.log.record(start.elapsed().saturating_sub(in_sink));
+        if result.is_ok() {
+            self.log.record_bytes(bytes);
+        }
+        result
     }
 }
 
@@ -245,6 +272,61 @@ mod tests {
         assert!(wrapped.get_pr(&query("fail")).is_err());
         assert_eq!(log.len(), 1);
         assert!(log.byte_samples().is_empty());
+    }
+
+    /// Streams its rows one per sink call, like a wrapper driving a cursor.
+    struct StreamingExec(usize);
+
+    impl ExecutionWrapper for StreamingExec {
+        fn info(&self) -> Vec<(String, String)> {
+            vec![]
+        }
+        fn foci(&self) -> Vec<String> {
+            vec![]
+        }
+        fn metrics(&self) -> Vec<String> {
+            vec![]
+        }
+        fn types(&self) -> Vec<String> {
+            vec![]
+        }
+        fn time_start_end(&self) -> (String, String) {
+            ("0".into(), "1".into())
+        }
+        fn get_pr(&self, _query: &PrQuery) -> Result<Vec<String>, WrapperError> {
+            Ok(vec!["row".into(); self.0])
+        }
+        fn get_pr_stream(
+            &self,
+            _query: &PrQuery,
+            sink: &mut dyn FnMut(Vec<String>) -> Result<(), WrapperError>,
+        ) -> Result<u64, WrapperError> {
+            for _ in 0..self.0 {
+                sink(vec!["row".into()])?;
+            }
+            Ok(self.0 as u64)
+        }
+    }
+
+    #[test]
+    fn stream_is_forwarded_with_one_sample() {
+        let log = TimingLog::new();
+        let wrapped = timed(Arc::new(StreamingExec(5)), Arc::clone(&log));
+        let mut calls = 0usize;
+        let total = wrapped
+            .get_pr_stream(&query("ok"), &mut |rows| {
+                assert_eq!(rows.len(), 1);
+                calls += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(total, 5);
+        assert_eq!(
+            calls, 5,
+            "the inner wrapper's native stream reaches the sink"
+        );
+        assert_eq!(log.len(), 1, "one Mapping Layer call, one sample");
+        assert_eq!(log.byte_samples(), vec![15]);
     }
 
     #[test]

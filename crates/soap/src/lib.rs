@@ -53,9 +53,9 @@ pub use wire::{
     decode_binary_segment, encode_batch_stream_head, encode_binary_batch_call,
     encode_binary_batch_call_into, encode_binary_batch_response, encode_binary_event,
     encode_binary_fault, encode_binary_segment, encode_entry_fault, encode_entry_head,
-    encode_stream_fault, BatchStreamEvent, BatchStreamReader, FrameReader, FrameWriter,
-    StreamEvent, WireError, WireEvent, WireSegment, BINARY_CONTENT_TYPE,
-    DEFAULT_STREAM_FRAME_BYTES, PPGB_MAGIC, PPGB_VERSION, STREAM_CONTENT_TYPE,
+    encode_stream_fault, BatchStreamEvent, BatchStreamReader, FrameWriter, WireError, WireEvent,
+    WireSegment, BINARY_CONTENT_TYPE, DEFAULT_STREAM_FRAME_BYTES, PPGB_MAGIC, PPGB_VERSION,
+    STREAM_CONTENT_TYPE,
 };
 
 /// Errors raised while encoding or decoding SOAP messages.

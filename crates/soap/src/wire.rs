@@ -54,26 +54,27 @@
 //!   frame per file, decoded with the same typed-corruption discipline
 //!   (a damaged file is treated as cold, never a panic).
 //! * kind 6 (stream segment): one row block — one bounded-size batch of
-//!   PerformanceResult rows on an incremental result stream. Stream frames
-//!   ride length-prefixed (`u32 len` + frame bytes) on a chunked HTTP
-//!   response body, so [`FrameReader`] can resynchronize regardless of
-//!   where transport chunk boundaries fall.
+//!   PerformanceResult rows of one batch-stream entry. Stream frames ride
+//!   length-prefixed (`u32 len` + frame bytes) on a chunked HTTP response
+//!   body, so [`BatchStreamReader`] can resynchronize regardless of where
+//!   transport chunk boundaries fall.
 //! * kind 7 (stream trailer): `u64` total row count + `u64` FNV-1a
-//!   checksum over every row (each row's bytes followed by one `\n`
-//!   separator byte, in stream order), then an optional trace string
-//!   (`ppg_context::encode_trace` text; absent on pre-trace trailers).
-//!   Streamed responses flush their HTTP headers before the handler runs,
-//!   so the server's spans ride here instead of `X-PPG-Trace`. The trailer
-//!   is the commit point: a stream that ends without one is *partial* —
-//!   the consumer keeps the rows but counts the flight truncated. A kind-3
-//!   fault frame may appear mid-stream instead; it is semantic, not
-//!   corruption.
+//!   checksum over every row of the entry (each row's bytes followed by
+//!   one `\n` separator byte, in stream order), then an optional trace
+//!   string (`ppg_context::encode_trace` text; absent on pre-trace
+//!   trailers). Streamed responses flush their HTTP headers before the
+//!   handler runs, so the server's spans ride here instead of
+//!   `X-PPG-Trace`. The trailer is the entry's commit point: an entry that
+//!   ends without one is *partial* — the consumer keeps the rows but counts
+//!   the flight truncated.
 //! * kind 8 (batch-stream head): `u32` entry count — the first frame of a
 //!   batched result stream, declaring how many per-entry sections follow.
 //! * kind 9 (entry head): `u32` entry index — opens one entry's section of
-//!   a batch stream. After it, kind-6 row frames, a kind-7 trailer, or a
-//!   kind-3 fault carrying flag bit 1 (*entry-tagged*: a `u32` entry index
-//!   rides right after the frame header) seal that entry independently.
+//!   a batch stream. After it come kind-6 row frames, then a kind-7 trailer
+//!   or a kind-3 fault, all carrying flag bit 1 (*entry-tagged*: a `u32`
+//!   entry index rides right after the frame header); the trailer or fault
+//!   seals that entry independently. A single call streams as a batch of
+//!   one.
 //!   Sections interleave freely — producers of different entries yield
 //!   frames as their scans run — and the stream is complete only when
 //!   every declared entry has sealed (trailer or entry fault). Bytes
@@ -112,9 +113,9 @@ pub const PPGB_MAGIC: [u8; 4] = *b"PPGB";
 pub const PPGB_VERSION: u8 = 1;
 /// Content type advertised and answered during codec negotiation.
 pub const BINARY_CONTENT_TYPE: &str = "application/x-ppg-binary";
-/// Content type of an incremental PPGB result stream (chunked body of
-/// length-prefixed kind-6/kind-7 frames). Advertised in `Accept` by
-/// streaming-capable consumers; answered by streaming containers.
+/// Content type of an interleaved PPGB batch stream (chunked body of
+/// length-prefixed kind-8/9/6/7/3 frames). Advertised in `Accept` by
+/// batch-stream consumers; answered by streaming containers.
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ppg-stream";
 /// Default bound on the encoded row bytes of one stream frame.
 pub const DEFAULT_STREAM_FRAME_BYTES: usize = 16 * 1024;
@@ -867,10 +868,12 @@ fn seal_length_prefix(mut out: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Incremental encoder for a PPGB result stream: rows go in one at a
-/// time, bounded-size length-prefixed kind-6 frames come out, and
-/// [`FrameWriter::finish`] seals the stream with a kind-7 trailer
-/// carrying the total row count and checksum. The buffered
+/// Incremental encoder for one entry's section of a PPGB batch stream:
+/// rows go in one at a time, bounded-size length-prefixed kind-6 frames
+/// come out, and [`FrameWriter::finish`] seals the section with a kind-7
+/// trailer carrying the entry's row count and checksum. Every frame is
+/// entry-tagged ([`FLAG_ENTRY`] + the index), so sections of different
+/// entries can interleave on one wire. The buffered
 /// [`encode_binary_segment`] path shares the same row-block core, so the
 /// columnar delta coding is identical on both paths.
 pub struct FrameWriter {
@@ -879,10 +882,8 @@ pub struct FrameWriter {
     pending_bytes: usize,
     total_rows: u64,
     checksum: u64,
-    /// Batch-stream entry index; `Some` tags every emitted frame with
-    /// [`FLAG_ENTRY`] + the index so sections of different entries can
-    /// interleave on one wire.
-    entry: Option<u32>,
+    /// Batch-stream entry index every emitted frame is tagged with.
+    entry: u32,
     /// Returned frame buffers whose capacity the next flush reuses (the
     /// producer-side half of the connection's buffer recycling loop).
     spare: Vec<Vec<u8>>,
@@ -892,29 +893,22 @@ pub struct FrameWriter {
 const FRAME_SPARE_CAP: usize = 4;
 
 impl FrameWriter {
-    /// A writer emitting data frames of roughly `max_frame_bytes` of row
-    /// payload each (the bound is on raw row bytes; columnar coding only
-    /// shrinks the encoded frame below it).
-    pub fn new(max_frame_bytes: usize) -> FrameWriter {
+    /// A writer for entry `entry` of a batch stream, emitting data frames
+    /// of roughly `max_frame_bytes` of row payload each (the bound is on
+    /// raw row bytes; columnar coding only shrinks the encoded frame below
+    /// it). Several writers can interleave their sections on one stream
+    /// and the reader still verifies each entry's row count and checksum
+    /// independently.
+    pub fn for_entry(max_frame_bytes: usize, entry: u32) -> FrameWriter {
         FrameWriter {
             max_frame_bytes: max_frame_bytes.max(1),
             rows: Vec::new(),
             pending_bytes: 0,
             total_rows: 0,
             checksum: FNV64_OFFSET,
-            entry: None,
+            entry,
             spare: Vec::new(),
         }
-    }
-
-    /// A writer for one entry of a batch stream: every frame it emits is
-    /// entry-tagged with `entry`, so several writers can interleave their
-    /// sections on one stream and the reader still verifies each entry's
-    /// row count and checksum independently.
-    pub fn for_entry(max_frame_bytes: usize, entry: u32) -> FrameWriter {
-        let mut fw = FrameWriter::new(max_frame_bytes);
-        fw.entry = Some(entry);
-        fw
     }
 
     /// Hand back a spent frame buffer (its bytes already on the socket) so
@@ -949,13 +943,8 @@ impl FrameWriter {
         let mut out = self.spare.pop().unwrap_or_default();
         out.reserve(4 + 8 + 4 + 5 + self.pending_bytes);
         out.extend_from_slice(&[0; 4]);
-        match self.entry {
-            Some(idx) => {
-                put_header(&mut out, KIND_STREAM, FLAG_ENTRY);
-                put_u32(&mut out, idx);
-            }
-            None => put_header(&mut out, KIND_STREAM, 0),
-        }
+        put_header(&mut out, KIND_STREAM, FLAG_ENTRY);
+        put_u32(&mut out, self.entry);
         put_row_block(&mut out, &self.rows);
         self.rows.clear();
         self.pending_bytes = 0;
@@ -967,7 +956,7 @@ impl FrameWriter {
         self.total_rows
     }
 
-    /// Seal the stream: any pending data frame, then the trailer. The
+    /// Seal the entry: any pending data frame, then the trailer. The
     /// returned frames must be sent in order; after this the writer is
     /// spent.
     pub fn finish(self) -> Vec<Vec<u8>> {
@@ -985,13 +974,8 @@ impl FrameWriter {
         let mut out = self.spare.pop().unwrap_or_default();
         out.reserve(4 + 8 + 4 + 16 + 4 + trace.len());
         out.extend_from_slice(&[0; 4]);
-        match self.entry {
-            Some(idx) => {
-                put_header(&mut out, KIND_TRAILER, FLAG_ENTRY);
-                put_u32(&mut out, idx);
-            }
-            None => put_header(&mut out, KIND_TRAILER, 0),
-        }
+        put_header(&mut out, KIND_TRAILER, FLAG_ENTRY);
+        put_u32(&mut out, self.entry);
         out.extend_from_slice(&self.total_rows.to_le_bytes());
         out.extend_from_slice(&self.checksum.to_le_bytes());
         put_str(&mut out, trace);
@@ -1000,203 +984,16 @@ impl FrameWriter {
     }
 }
 
-/// Encode a fault as a length-prefixed stream frame — the in-band error
-/// channel of a result stream. A consumer surfaces it as
-/// [`WireError::Fault`]: semantic, never the corruption fallback.
+/// Encode a fault as an untagged length-prefixed stream frame — the
+/// whole-batch refusal of a batch stream (budget spent on arrival). A
+/// consumer surfaces it as [`WireError::Fault`]: semantic, never the
+/// corruption fallback.
 pub fn encode_stream_fault(fault: &Fault) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 + 16 + fault.string.len());
     out.extend_from_slice(&[0; 4]);
     put_header(&mut out, KIND_FAULT, 0);
     put_fault(&mut out, fault);
     seal_length_prefix(out)
-}
-
-/// One decoded event on a PPGB result stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// One data frame's rows, in stream order.
-    Rows(Vec<String>),
-    /// The trailer arrived and the row count + checksum verified: the
-    /// stream is complete.
-    End {
-        /// Total rows carried by the stream.
-        rows: u64,
-    },
-}
-
-enum StreamFrame {
-    Rows(Vec<String>),
-    Trailer {
-        rows: u64,
-        checksum: u64,
-        trace: String,
-    },
-}
-
-fn decode_stream_frame(buf: &[u8]) -> Result<StreamFrame, WireError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != PPGB_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != PPGB_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = r.u8()?;
-    let _flags = r.u8()?;
-    let _reserved = r.u8()?;
-    match kind {
-        KIND_FAULT => {
-            let fault = r.fault()?;
-            r.done()?;
-            Err(WireError::Fault(fault))
-        }
-        KIND_STREAM => {
-            let rows = read_row_block(&mut r)?;
-            r.done()?;
-            Ok(StreamFrame::Rows(rows))
-        }
-        KIND_TRAILER => {
-            let rows = r.u64()?;
-            let checksum = r.u64()?;
-            // Pre-trace trailers end at the checksum; tolerate both shapes.
-            let trace = if r.pos < r.buf.len() {
-                r.str()?
-            } else {
-                String::new()
-            };
-            r.done()?;
-            Ok(StreamFrame::Trailer {
-                rows,
-                checksum,
-                trace,
-            })
-        }
-        k => Err(WireError::Malformed(format!(
-            "unexpected stream frame kind {k}"
-        ))),
-    }
-}
-
-/// Incremental decoder for a PPGB result stream: feed transport bytes in
-/// whatever pieces they arrive, pull [`StreamEvent`]s out. The reader
-/// buffers at most one frame plus the bytes of the next length prefix —
-/// constant memory regardless of result-set size. A stream whose bytes
-/// end before [`StreamEvent::End`] was produced is *partial*: the rows
-/// seen so far are valid, but the producer died mid-flight.
-#[derive(Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    pos: usize,
-    rows_seen: u64,
-    checksum: u64,
-    finished: bool,
-    trace: String,
-}
-
-impl FrameReader {
-    /// A fresh reader expecting the start of a stream.
-    pub fn new() -> FrameReader {
-        FrameReader {
-            buf: Vec::new(),
-            pos: 0,
-            rows_seen: 0,
-            checksum: FNV64_OFFSET,
-            finished: false,
-            trace: String::new(),
-        }
-    }
-
-    /// Append transport bytes. Chunk boundaries are immaterial — frames
-    /// are delimited by their own length prefixes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decode the next complete frame, if one is buffered. `Ok(None)`
-    /// means "need more bytes" (or, after [`StreamEvent::End`], "stream
-    /// over"). Errors are terminal for the stream.
-    pub fn next_event(&mut self) -> Result<Option<StreamEvent>, WireError> {
-        if self.finished {
-            if self.pos < self.buf.len() {
-                return Err(WireError::Malformed(format!(
-                    "{} bytes after stream trailer",
-                    self.buf.len() - self.pos
-                )));
-            }
-            return Ok(None);
-        }
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-        if len > MAX_STREAM_FRAME_BYTES {
-            return Err(WireError::Malformed(format!(
-                "stream frame length {len} exceeds sanity bound"
-            )));
-        }
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let frame = &self.buf[self.pos + 4..self.pos + 4 + len];
-        let decoded = decode_stream_frame(frame)?;
-        self.pos += 4 + len;
-        match decoded {
-            StreamFrame::Rows(rows) => {
-                for row in &rows {
-                    self.checksum = checksum_row(self.checksum, row);
-                }
-                self.rows_seen += rows.len() as u64;
-                Ok(Some(StreamEvent::Rows(rows)))
-            }
-            StreamFrame::Trailer {
-                rows,
-                checksum,
-                trace,
-            } => {
-                if rows != self.rows_seen {
-                    return Err(WireError::Malformed(format!(
-                        "trailer claims {rows} rows, stream carried {}",
-                        self.rows_seen
-                    )));
-                }
-                if checksum != self.checksum {
-                    return Err(WireError::Malformed("stream checksum mismatch".into()));
-                }
-                self.finished = true;
-                self.trace = trace;
-                Ok(Some(StreamEvent::End { rows }))
-            }
-        }
-    }
-
-    /// True once the trailer has been decoded and verified. A stream that
-    /// ends (EOF / connection drop) while this is false was truncated.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Rows decoded so far.
-    pub fn rows_seen(&self) -> u64 {
-        self.rows_seen
-    }
-
-    /// The producer's trace text from the trailer (empty until
-    /// [`FrameReader::finished`], or when the producer sent none).
-    pub fn trailer_trace(&self) -> &str {
-        &self.trace
-    }
-
-    /// Bytes currently buffered but not yet consumed — stays bounded by
-    /// one frame plus a partial prefix.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 // --------------------------------------------------------- batch streaming
@@ -1551,14 +1348,12 @@ impl BatchStreamReader {
     }
 
     /// Entries not yet sealed by a trailer or fault, ascending — on EOF
-    /// these (plus any index never opened) are the truncated ones.
-    pub fn unsealed_entries(&self) -> Vec<u32> {
-        let Some(n) = self.declared else {
-            return Vec::new();
-        };
-        (0..n)
+    /// these (plus any index never opened) are the truncated ones. Lazy:
+    /// the declared count comes off the wire, so nothing is allocated
+    /// from it.
+    pub fn unsealed_entries(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.declared.unwrap_or(0))
             .filter(|idx| !self.sections.get(idx).is_some_and(|s| s.sealed))
-            .collect()
     }
 
     /// Rows decoded so far for one entry.
@@ -1924,12 +1719,35 @@ mod tests {
     }
 
     /// Drain every event currently decodable.
-    fn drain(reader: &mut FrameReader) -> Vec<StreamEvent> {
+    fn drain(reader: &mut BatchStreamReader) -> Vec<BatchStreamEvent> {
         let mut events = Vec::new();
         while let Some(ev) = reader.next_event().unwrap() {
             events.push(ev);
         }
         events
+    }
+
+    /// A one-entry batch stream — the shape a single call streams in:
+    /// batch head, entry head, then `frames` (entry 0's data frames and,
+    /// unless the producer died, its trailer).
+    fn one_entry_stream(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = encode_batch_stream_head(1);
+        wire.extend_from_slice(&encode_entry_head(0));
+        for frame in frames {
+            wire.extend_from_slice(frame);
+        }
+        wire
+    }
+
+    /// Rows carried by entry-row events, in order.
+    fn rows_of(events: Vec<BatchStreamEvent>) -> Vec<String> {
+        let mut rows = Vec::new();
+        for ev in events {
+            if let BatchStreamEvent::EntryRows { rows: batch, .. } = ev {
+                rows.extend(batch);
+            }
+        }
+        rows
     }
 
     #[test]
@@ -1951,32 +1769,34 @@ mod tests {
     #[test]
     fn stream_roundtrip_across_arbitrary_feed_splits() {
         let rows = monotone_rows(100);
-        let mut writer = FrameWriter::new(512);
-        let mut wire = Vec::new();
+        let mut writer = FrameWriter::for_entry(512, 0);
+        let mut frames = Vec::new();
         for row in &rows {
-            if let Some(frame) = writer.push(row.clone()) {
-                wire.extend_from_slice(&frame);
-            }
+            frames.extend(writer.push(row.clone()));
         }
-        let frames = writer.finish();
-        assert!(frames.len() >= 2 || rows.is_empty());
-        for frame in &frames {
-            wire.extend_from_slice(frame);
-        }
+        frames.extend(writer.finish());
+        assert!(frames.len() >= 3, "several data frames plus the trailer");
+        let wire = one_entry_stream(&frames);
         // Feed the whole stream one byte at a time: chunk boundaries are
         // immaterial to the reader.
-        let mut reader = FrameReader::new();
+        let mut reader = BatchStreamReader::new();
         let mut got: Vec<String> = Vec::new();
         let mut ended = false;
         for &b in &wire {
             reader.feed(&[b]);
             for ev in drain(&mut reader) {
                 match ev {
-                    StreamEvent::Rows(batch) => got.extend(batch),
-                    StreamEvent::End { rows: n } => {
+                    BatchStreamEvent::EntryRows {
+                        entry: 0,
+                        rows: batch,
+                    } => got.extend(batch),
+                    BatchStreamEvent::EntryEnd { entry: 0, rows: n } => {
                         assert_eq!(n, 100);
                         ended = true;
                     }
+                    BatchStreamEvent::Begin { entries: 1 }
+                    | BatchStreamEvent::EntryOpen { entry: 0 } => {}
+                    other => panic!("unexpected event {other:?}"),
                 }
             }
         }
@@ -1988,47 +1808,40 @@ mod tests {
 
     #[test]
     fn stream_without_trailer_is_partial_not_error() {
-        let mut writer = FrameWriter::new(128);
-        let mut wire = Vec::new();
+        let mut writer = FrameWriter::for_entry(128, 0);
+        let mut frames = Vec::new();
         for row in monotone_rows(40) {
-            if let Some(frame) = writer.push(row) {
-                wire.extend_from_slice(&frame);
-            }
+            frames.extend(writer.push(row));
         }
         // Producer dies: finish() never called, no trailer on the wire.
-        let mut reader = FrameReader::new();
-        reader.feed(&wire);
+        let mut reader = BatchStreamReader::new();
+        reader.feed(&one_entry_stream(&frames));
         let events = drain(&mut reader);
-        assert!(events.iter().all(|ev| matches!(ev, StreamEvent::Rows(_))));
+        assert!(events
+            .iter()
+            .all(|ev| !matches!(ev, BatchStreamEvent::EntryEnd { .. })));
         assert!(!reader.finished(), "no trailer means not finished");
-        assert!(reader.rows_seen() > 0);
+        assert!(reader.entry_rows_seen(0) > 0);
+        assert_eq!(reader.unsealed_entries().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
     fn stream_checksum_and_count_are_verified() {
-        let mut writer = FrameWriter::new(64);
+        let mut writer = FrameWriter::for_entry(64, 0);
         let mut frames: Vec<Vec<u8>> = Vec::new();
         for row in monotone_rows(8) {
-            if let Some(frame) = writer.push(row) {
-                frames.push(frame);
-            }
+            frames.extend(writer.push(row));
         }
         frames.extend(writer.finish());
         assert!(frames.len() >= 3);
 
         // Corrupt one text byte inside the first data frame: rows decode
         // (differently), so the trailer checksum is the tripwire.
-        let mut corrupted: Vec<u8> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            let mut f = frame.clone();
-            if i == 0 {
-                let at = f.len() - 2; // inside the last row's suffix text
-                f[at] ^= 0x01;
-            }
-            corrupted.extend_from_slice(&f);
-        }
-        let mut reader = FrameReader::new();
-        reader.feed(&corrupted);
+        let mut corrupted = frames.clone();
+        let at = corrupted[0].len() - 2; // inside the last row's suffix text
+        corrupted[0][at] ^= 0x01;
+        let mut reader = BatchStreamReader::new();
+        reader.feed(&one_entry_stream(&corrupted));
         let err = loop {
             match reader.next_event() {
                 Ok(Some(_)) => continue,
@@ -2039,12 +1852,8 @@ mod tests {
         assert!(err.is_corrupt(), "{err}");
 
         // Drop a whole data frame: the trailer row count is the tripwire.
-        let mut short: Vec<u8> = Vec::new();
-        for frame in frames.iter().skip(1) {
-            short.extend_from_slice(frame);
-        }
-        let mut reader = FrameReader::new();
-        reader.feed(&short);
+        let mut reader = BatchStreamReader::new();
+        reader.feed(&one_entry_stream(&frames[1..]));
         let err = loop {
             match reader.next_event() {
                 Ok(Some(_)) => continue,
@@ -2057,21 +1866,17 @@ mod tests {
 
     #[test]
     fn stream_fault_frame_is_semantic() {
-        let mut wire = Vec::new();
-        let mut writer = FrameWriter::new(64);
+        let mut writer = FrameWriter::for_entry(64, 0);
+        let mut frames = Vec::new();
         for row in monotone_rows(4) {
-            if let Some(frame) = writer.push(row) {
-                wire.extend_from_slice(&frame);
-            }
+            frames.extend(writer.push(row));
         }
-        if let Some(frame) = writer.flush() {
-            wire.extend_from_slice(&frame);
-        }
-        wire.extend_from_slice(&encode_stream_fault(&Fault::deadline_exceeded(
+        frames.extend(writer.flush());
+        frames.push(encode_stream_fault(&Fault::deadline_exceeded(
             "budget spent mid-stream",
         )));
-        let mut reader = FrameReader::new();
-        reader.feed(&wire);
+        let mut reader = BatchStreamReader::new();
+        reader.feed(&one_entry_stream(&frames));
         let err = loop {
             match reader.next_event() {
                 Ok(Some(_)) => continue,
@@ -2087,39 +1892,28 @@ mod tests {
 
     #[test]
     fn stream_rejects_bytes_after_trailer_and_insane_lengths() {
-        let writer = FrameWriter::new(64);
-        let mut wire = Vec::new();
-        for frame in writer.finish() {
-            wire.extend_from_slice(&frame);
-        }
+        let writer = FrameWriter::for_entry(64, 0);
+        let mut wire = one_entry_stream(&writer.finish());
         wire.extend_from_slice(b"junk");
-        let mut reader = FrameReader::new();
+        let mut reader = BatchStreamReader::new();
         reader.feed(&wire);
-        assert!(matches!(
-            reader.next_event().unwrap(),
-            Some(StreamEvent::End { rows: 0 })
-        ));
+        let mut last = None;
+        while !reader.finished() {
+            last = reader.next_event().unwrap();
+        }
+        assert_eq!(last, Some(BatchStreamEvent::EntryEnd { entry: 0, rows: 0 }));
         assert!(matches!(
             reader.next_event().unwrap_err(),
             WireError::Malformed(_)
         ));
         // A length prefix past the sanity cap is corruption, not an
         // attempted 4 GiB allocation.
-        let mut reader = FrameReader::new();
+        let mut reader = BatchStreamReader::new();
         reader.feed(&u32::MAX.to_le_bytes());
         assert!(matches!(
             reader.next_event().unwrap_err(),
             WireError::Malformed(_)
         ));
-    }
-
-    /// Drain every batch-stream event currently decodable.
-    fn drain_batch(reader: &mut BatchStreamReader) -> Vec<BatchStreamEvent> {
-        let mut events = Vec::new();
-        while let Some(ev) = reader.next_event().unwrap() {
-            events.push(ev);
-        }
-        events
     }
 
     /// One entry's complete section: kind-9 head, data frames, trailer.
@@ -2165,7 +1959,7 @@ mod tests {
         let mut sealed = Vec::new();
         for &b in &wire {
             reader.feed(&[b]);
-            for ev in drain_batch(&mut reader) {
+            for ev in drain(&mut reader) {
                 match ev {
                     BatchStreamEvent::Begin { entries } => assert_eq!(entries, 2),
                     BatchStreamEvent::EntryOpen { .. } => {}
@@ -2181,7 +1975,7 @@ mod tests {
         sealed.sort_unstable();
         assert_eq!(sealed, vec![(0, 60), (1, 45)]);
         assert!(reader.finished());
-        assert!(reader.unsealed_entries().is_empty());
+        assert_eq!(reader.unsealed_entries().next(), None);
         assert_eq!(reader.buffered(), 0);
     }
 
@@ -2211,7 +2005,7 @@ mod tests {
 
         let mut reader = BatchStreamReader::new();
         reader.feed(&wire);
-        let events = drain_batch(&mut reader);
+        let events = drain(&mut reader);
         let fault = events
             .iter()
             .find_map(|ev| match ev {
@@ -2230,7 +2024,7 @@ mod tests {
             .collect();
         assert_eq!(survivor, rows1);
         assert!(reader.finished(), "fault seals its entry; stream completes");
-        assert!(reader.unsealed_entries().is_empty());
+        assert_eq!(reader.unsealed_entries().next(), None);
     }
 
     #[test]
@@ -2252,12 +2046,12 @@ mod tests {
 
         let mut reader = BatchStreamReader::new();
         reader.feed(&wire);
-        let events = drain_batch(&mut reader);
+        let events = drain(&mut reader);
         assert!(events
             .iter()
             .any(|ev| matches!(ev, BatchStreamEvent::EntryEnd { entry: 1, rows: 7 })));
         assert!(!reader.finished());
-        assert_eq!(reader.unsealed_entries(), vec![0, 2]);
+        assert_eq!(reader.unsealed_entries().collect::<Vec<_>>(), vec![0, 2]);
         assert!(reader.entry_rows_seen(0) > 0);
         assert_eq!(reader.entry_rows_seen(2), 0);
     }
@@ -2422,7 +2216,7 @@ mod tests {
 
     #[test]
     fn frame_writer_recycles_spent_buffers() {
-        let mut writer = FrameWriter::new(usize::MAX);
+        let mut writer = FrameWriter::for_entry(usize::MAX, 0);
         // Hand back a big spent buffer; the next flush must reuse its
         // capacity instead of allocating fresh.
         writer.recycle(Vec::with_capacity(8 * 1024));
@@ -2433,12 +2227,9 @@ mod tests {
             "flush reused the recycled buffer's capacity"
         );
         // The recycled frame round-trips like any other.
-        let mut reader = FrameReader::new();
-        reader.feed(&frame);
-        match reader.next_event().unwrap() {
-            Some(StreamEvent::Rows(rows)) => assert_eq!(rows, vec!["gflops|t=1:2|x"]),
-            other => panic!("expected rows, got {other:?}"),
-        }
+        let mut reader = BatchStreamReader::new();
+        reader.feed(&one_entry_stream(&[frame]));
+        assert_eq!(rows_of(drain(&mut reader)), vec!["gflops|t=1:2|x"]);
     }
 
     #[test]
@@ -2474,22 +2265,13 @@ mod tests {
             let back = decode_binary_segment(&encode_binary_segment(&seg)).unwrap();
             assert_eq!(back.rows, rows);
 
-            let mut writer = FrameWriter::new(usize::MAX);
+            let mut writer = FrameWriter::for_entry(usize::MAX, 0);
             for row in &rows {
                 writer.push(row.clone());
             }
-            let mut wire = Vec::new();
-            for frame in writer.finish() {
-                wire.extend_from_slice(&frame);
-            }
-            let mut reader = FrameReader::new();
-            reader.feed(&wire);
-            let mut got = Vec::new();
-            for ev in drain(&mut reader) {
-                if let StreamEvent::Rows(batch) = ev {
-                    got.extend(batch);
-                }
-            }
+            let mut reader = BatchStreamReader::new();
+            reader.feed(&one_entry_stream(&writer.finish()));
+            let got = rows_of(drain(&mut reader));
             assert!(reader.finished());
             assert_eq!(got, rows);
         }

@@ -17,6 +17,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> repo benchmark builds against the current crates, lock file untouched"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> call-context suite (deadlines, cancellation, tracing)"
 cargo test -q -p ppg-context
 cargo test -q -p pperf-gateway --test deadline
@@ -32,7 +35,7 @@ cargo test -q -p pperf-soap batch
 cargo test -q -p pperf-gateway --test batch
 PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test batch
 
-echo "==> binary data plane suite (PPGB codec, negotiation, mixed fleets)"
+echo "==> binary data plane suite (PPGB codec, wireVersion negotiation, mixed fleets)"
 cargo test -q -p pperf-soap wire
 cargo test -q -p pperf-gateway --test binary
 cargo test -q -p pperf-gateway --test force_xml
@@ -52,17 +55,12 @@ cargo test -q -p pperf-gateway --test segment_cache
 echo "==> semantic segment cache: PPG_FORCE_XML=1 pass (spill is codec-negotiation independent)"
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test segment_cache
 
-echo "==> streaming data path suite (incremental frames, backpressure, partial results)"
+echo "==> batch-streaming suite (interleaved entry sections, batches of one, backpressure,"
+echo "    per-entry truncation, frame-boundary cancel, fallback, reader totality)"
 cargo test -q -p pperf-soap stream
 cargo test -q -p pperf-httpd stream
-cargo test -q -p pperf-gateway --test streaming
-echo "==> streaming data path: PPG_FORCE_XML=1 pass (the pin serves buffered, never streams)"
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test force_xml
-
-echo "==> batch-streaming suite (interleaved entry sections, per-entry truncation, fallback)"
-cargo test -q -p pperf-soap batch_stream
-cargo test -q -p pperf-gateway --test batch_stream
-echo "==> batch-streaming: PPG_FORCE_XML=1 pass (the pin keeps batches buffered XML)"
+cargo test -q -p pperf-gateway --test streaming --test batch_stream
+echo "==> batch-streaming: PPG_FORCE_XML=1 pass (the pin keeps batches buffered XML, never streams)"
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test force_xml --test batch --test federation
 
 if [[ "${PPG_BENCH:-0}" == "1" ]]; then
