@@ -303,20 +303,19 @@ fn main() {
         "uncached: {repeats} queries in {uncached_elapsed:?} ({uncached_qps:.1} q/s, {uncached_upstream} upstream getPRs)"
     );
 
-    // Pass 1b: the same cold federation redeployed at `wireVersion` 1, the
-    // XML batch — each site's 8 targets fold into one multi-call exchange
-    // per query. (This series stays the XML-batch baseline; the bulk pass
-    // below compares the codecs head to head.)
-    let xml_fed = deploy_federation(8, mem_delay, Wire::XmlBatch);
+    // Pass 1b: the same cold federation redeployed at `wireVersion` 2, the
+    // buffered PPGB binary batch — each site's 8 targets fold into one
+    // multi-call exchange per query.
+    let batched_fed = deploy_federation(8, mem_delay, Wire::BinaryBatch);
     let batched_gateway = FederatedGateway::new(
-        Arc::clone(&xml_fed.client),
-        xml_fed.registry.clone(),
+        Arc::clone(&batched_fed.client),
+        batched_fed.registry.clone(),
         GatewayConfig::default()
             .with_cache(false)
             .with_hedging(None),
     );
     let (batched_elapsed, batched_upstream, _) =
-        timed_pass(&batched_gateway, &xml_fed.client, &query, repeats);
+        timed_pass(&batched_gateway, &batched_fed.client, &query, repeats);
     let batched_qps = qps(repeats, batched_elapsed);
     let batched_calls_per_query = batched_upstream as f64 / repeats as f64;
     let batch_speedup = batched_qps / uncached_qps;
@@ -384,12 +383,12 @@ fn main() {
         "calls",
     ));
 
-    // Pass 2b: binary data plane vs the XML-batch baseline on a bulk
+    // Pass 2b: the binary batch vs the paper's per-call SOAP on a bulk
     // federation — one site, many executions, no scripted delay, so codec
-    // serialize/parse cost and payload size dominate instead of backend
-    // latency. The same site is deployed twice, at `wireVersion` 1 and 2;
-    // each gets its own HttpClient so payload-byte counters don't
-    // interleave.
+    // serialize/parse cost, per-call round trips and payload size dominate
+    // instead of backend latency. The same site is deployed twice, at
+    // `wireVersion` 0 and 2; each gets its own HttpClient so payload-byte
+    // counters don't interleave.
     let bulk_execs = if std::env::var_os("PPG_QUICK").is_some() {
         24
     } else {
@@ -420,17 +419,17 @@ fn main() {
             containers: vec![host],
         }
     };
-    let xml_bulk = deploy_bulk(Wire::XmlBatch);
-    let xml_bulk_gateway = FederatedGateway::new(
-        Arc::clone(&xml_bulk.client),
-        xml_bulk.registry.clone(),
+    let call_bulk = deploy_bulk(Wire::PerCall);
+    let call_bulk_gateway = FederatedGateway::new(
+        Arc::clone(&call_bulk.client),
+        call_bulk.registry.clone(),
         GatewayConfig::default()
             .with_cache(false)
             .with_hedging(None),
     );
-    let (xml_bulk_elapsed, _, xml_bulk_bytes) =
-        timed_pass(&xml_bulk_gateway, &xml_bulk.client, &query, repeats);
-    let xml_bulk_qps = qps(repeats, xml_bulk_elapsed);
+    let (call_bulk_elapsed, _, call_bulk_bytes) =
+        timed_pass(&call_bulk_gateway, &call_bulk.client, &query, repeats);
+    let call_bulk_qps = qps(repeats, call_bulk_elapsed);
     let bin_bulk = deploy_bulk(Wire::BinaryBatch);
     let bin_bulk_gateway = FederatedGateway::new(
         Arc::clone(&bin_bulk.client),
@@ -445,20 +444,20 @@ fn main() {
     let bulk_snapshot = bin_bulk_gateway.snapshot();
     assert_eq!(
         bulk_snapshot.binary_fallback_calls, 0,
-        "bulk binary pass downgraded to XML"
+        "bulk binary pass was not served as a binary batch"
     );
-    let bulk_speedup = bin_bulk_qps / xml_bulk_qps;
-    let xml_bulk_bpq = xml_bulk_bytes as f64 / repeats as f64;
+    let bulk_speedup = bin_bulk_qps / call_bulk_qps;
+    let call_bulk_bpq = call_bulk_bytes as f64 / repeats as f64;
     let bin_bulk_bpq = bin_bulk_bytes as f64 / repeats as f64;
-    let bulk_byte_shrink = xml_bulk_bpq / bin_bulk_bpq.max(1.0);
+    let bulk_byte_shrink = call_bulk_bpq / bin_bulk_bpq.max(1.0);
     println!(
-        "bulk:     {bulk_execs}-entry batches: XML {xml_bulk_qps:.1} q/s at {xml_bulk_bpq:.0} \
-         payload B/query; binary {bin_bulk_qps:.1} q/s at {bin_bulk_bpq:.0} B/query \
+        "bulk:     {bulk_execs} targets: per-call {call_bulk_qps:.1} q/s at {call_bulk_bpq:.0} \
+         payload B/query; binary batch {bin_bulk_qps:.1} q/s at {bin_bulk_bpq:.0} B/query \
          ({bulk_speedup:.2}x throughput, {bulk_byte_shrink:.1}x fewer bytes)"
     );
     entries.push(entry(
-        "gateway_fanout/bulk_xml_batch_throughput",
-        xml_bulk_qps,
+        "gateway_fanout/bulk_per_call_throughput",
+        call_bulk_qps,
         "queries/s",
     ));
     entries.push(entry(
@@ -472,8 +471,8 @@ fn main() {
         "x",
     ));
     entries.push(entry(
-        "gateway_fanout/bulk_xml_batch_payload_bytes_per_query",
-        xml_bulk_bpq,
+        "gateway_fanout/bulk_per_call_payload_bytes_per_query",
+        call_bulk_bpq,
         "bytes",
     ));
     entries.push(entry(
@@ -944,7 +943,7 @@ fn main() {
     assert_eq!(
         packed_gateway.snapshot().binary_fallback_calls,
         0,
-        "packed baseline downgraded to XML"
+        "packed baseline was not served as a binary batch"
     );
     let packed_bpr = packed_bytes as f64 / (repeats as u64 * stream_rows_per_query) as f64;
 
@@ -1053,14 +1052,14 @@ fn main() {
     }
     if bulk_speedup < 1.3 {
         eprintln!(
-            "WARNING: binary bulk throughput {bulk_speedup:.2}x over XML-batch, below the \
+            "WARNING: binary bulk throughput {bulk_speedup:.2}x over per-call, below the \
              1.3x acceptance floor"
         );
         failed = true;
     }
     if bulk_byte_shrink < 3.0 {
         eprintln!(
-            "WARNING: binary payload only {bulk_byte_shrink:.1}x smaller than XML-batch \
+            "WARNING: binary payload only {bulk_byte_shrink:.1}x smaller than per-call \
              (acceptance floor: 3x fewer bytes)"
         );
         failed = true;

@@ -146,12 +146,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.coalesced
     );
     println!(
-        "wire planes: {} PPGB frames ({} entries), {} XML batches ({} entries), \
+        "wire planes: {} PPGB batches ({} entries), {} batch streams ({} entries), \
          {} binary downgrades, {} batch fallbacks",
-        snapshot.binary_calls,
-        snapshot.binary_entries,
-        snapshot.batched_calls - snapshot.binary_calls,
-        snapshot.batch_entries - snapshot.binary_entries,
+        snapshot.batched_calls,
+        snapshot.batch_entries,
+        snapshot.batch_streams,
+        snapshot.batch_stream_entries,
         snapshot.binary_fallback_calls,
         snapshot.batch_fallback_calls
     );

@@ -27,7 +27,7 @@ use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pperf_httpd::{HttpClient, Request};
 use pperf_ogsi::{force_xml, BatchStreamEntryOutcome, Gsh, OgsiError, ServiceStub, Wire};
-use pperf_soap::{BatchEntry, BatchOutcome, Fault};
+use pperf_soap::{BatchEntry, Fault};
 use pperfgrid::{row_time_span, ExecutionStub, PrQuery, EXECUTION_NS};
 use ppg_context::CallContext;
 use ppg_notify::{
@@ -272,19 +272,17 @@ struct Stats {
     /// deltas and per-site `cache.invalidate` events), counted separately
     /// from the TTL-expiry path above.
     notify_invalidations: AtomicU64,
-    /// Buffered multi-call exchanges (XML or binary) that carried a batch.
+    /// Buffered PPGB binary batch exchanges that carried a batch.
     batched_calls: AtomicU64,
     /// getPR entries that rode those buffered batches.
     batch_entries: AtomicU64,
     /// Per-call getPR calls issued against batch-capable sites (a
-    /// singleton group or a hedge leg below wire version 3).
+    /// singleton group or a hedge leg below wire version 3, or any target
+    /// under `PPG_FORCE_XML=1`).
     batch_fallback: AtomicU64,
-    /// Buffered batches that travelled as PPGB binary frames.
-    binary_calls: AtomicU64,
-    /// getPR entries that rode those binary frames.
-    binary_entries: AtomicU64,
-    /// Binary batch attempts stepped down to the XML batch (the peer
-    /// answered 404, non-binary, or a corrupt frame).
+    /// Binary batch attempts the peer did not speak (it answered 404,
+    /// non-binary, or a corrupt frame): the batch's entries failed as site
+    /// faults and the authority is served per-call from then on.
     binary_fallbacks: AtomicU64,
     /// Batched wire requests consumed as interleaved batch streams.
     batch_streams: AtomicU64,
@@ -366,18 +364,16 @@ pub struct GatewaySnapshot {
     pub notify_events: u64,
     /// Poll-fallback resyncs after sequence gaps on those subscriptions.
     pub notify_resyncs: u64,
-    /// Buffered multi-call exchanges (XML or binary) that carried a batch.
+    /// Buffered PPGB binary batch exchanges that carried a batch.
     pub batched_calls: u64,
     /// getPR entries that rode those buffered batches.
     pub batch_entries: u64,
     /// Per-call getPR calls issued against batch-capable sites (a
-    /// singleton group or a hedge leg below wire version 3).
+    /// singleton group or a hedge leg below wire version 3, or any target
+    /// under `PPG_FORCE_XML=1`).
     pub batch_fallback_calls: u64,
-    /// Buffered batches that travelled as PPGB binary frames.
-    pub binary_calls: u64,
-    /// getPR entries that rode those binary frames.
-    pub binary_entries: u64,
-    /// Binary batch attempts stepped down to the XML batch.
+    /// Binary batch attempts the peer did not speak; their entries failed
+    /// as site faults and the authority went per-call.
     pub binary_fallback_calls: u64,
     /// Batched wire requests consumed as interleaved batch streams.
     pub batch_streams: u64,
@@ -416,14 +412,14 @@ struct Inner {
 }
 
 impl Inner {
-    /// The wire a batch to `authority` opens with: the site's advertised
-    /// wire, capped by the XML batch under `PPG_FORCE_XML=1` and by any
+    /// The wire traffic to `authority` opens with: the site's advertised
+    /// wire, capped at per-call SOAP under `PPG_FORCE_XML=1` and by any
     /// step-down remembered for the authority.
     fn wire_for(&self, advertised: Wire, authority: &str) -> Wire {
-        let mut wire = advertised;
         if force_xml() {
-            wire = wire.min(Wire::XmlBatch);
+            return Wire::PerCall;
         }
+        let mut wire = advertised;
         if let Some(&known) = self.wire_downgrades.lock().get(authority) {
             wire = wire.min(known);
         }
@@ -705,8 +701,6 @@ impl FederatedGateway {
                 batched_calls: AtomicU64::new(0),
                 batch_entries: AtomicU64::new(0),
                 batch_fallback: AtomicU64::new(0),
-                binary_calls: AtomicU64::new(0),
-                binary_entries: AtomicU64::new(0),
                 binary_fallbacks: AtomicU64::new(0),
                 batch_streams: AtomicU64::new(0),
                 batch_stream_entries: AtomicU64::new(0),
@@ -872,8 +866,6 @@ impl FederatedGateway {
             batched_calls: inner.stats.batched_calls.load(Ordering::Relaxed),
             batch_entries: inner.stats.batch_entries.load(Ordering::Relaxed),
             batch_fallback_calls: inner.stats.batch_fallback.load(Ordering::Relaxed),
-            binary_calls: inner.stats.binary_calls.load(Ordering::Relaxed),
-            binary_entries: inner.stats.binary_entries.load(Ordering::Relaxed),
             binary_fallback_calls: inner.stats.binary_fallbacks.load(Ordering::Relaxed),
             batch_streams: inner.stats.batch_streams.load(Ordering::Relaxed),
             batch_stream_entries: inner.stats.batch_stream_entries.load(Ordering::Relaxed),
@@ -998,9 +990,9 @@ impl FederatedGateway {
             }
             // Misses fold into one wire request per host (a site's instances
             // may be spread across replica containers). A batch stream
-            // carries any group, even a singleton; the buffered batches only
-            // pay off from two entries up, and a version-0 site takes
-            // per-call getPR.
+            // carries any group, even a singleton; the buffered binary batch
+            // only pays off from two entries up, and a version-0 site (or any
+            // site under `PPG_FORCE_XML=1`) takes per-call getPR.
             let mut by_host: BTreeMap<String, Vec<UncachedSlot<'_>>> = BTreeMap::new();
             for slot in uncached {
                 by_host
@@ -1016,21 +1008,8 @@ impl FederatedGateway {
                 // One leg context per wire call: a batch shares one across
                 // its entries (each keeps its own pending slot and hedge
                 // schedule), a per-call target gets its own.
-                let batch_ctx = batched.then(|| {
-                    let ctx = qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0);
-                    match ctx.remaining() {
-                        // A shared batch is one HTTP exchange: an entry
-                        // running right up to the deadline would hold every
-                        // sibling's finished answer past the gather
-                        // deadline. Reserve headroom so the mixed response
-                        // still travels back in time.
-                        Some(rem) if shared => {
-                            let margin = (rem / 8).min(Duration::from_millis(250));
-                            ctx.with_remaining(rem.saturating_sub(margin))
-                        }
-                        _ => ctx,
-                    }
-                });
+                let batch_ctx =
+                    batched.then(|| qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0));
                 let mut members: Vec<BatchMember> = Vec::with_capacity(group.len());
                 for (target, pr, cache_fill, prefix_rows) in group {
                     let idx = pending.len();
@@ -1559,12 +1538,14 @@ enum Exchange {
 }
 
 /// The wire phase for leaders that already hold their single-flight
-/// tokens. Each attempt rides the current rung; a downgrade steps down
-/// inline (batch stream → binary batch → XML batch) and the authority
-/// remembers the rung, so single-flight followers never notice. Transport
-/// failures retry with backoff charged against the leg budget — the stub
-/// only errors before any row arrived, so a retry starts from a clean
-/// slate with no partial cache claims to unwind.
+/// tokens. Each attempt rides the current rung; a batch stream the peer
+/// does not speak steps down inline to the binary batch and the authority
+/// remembers the rung, so single-flight followers never notice. The binary
+/// batch is the floor: a peer that does not speak it fails the batch's
+/// entries as a site fault, and the authority is remembered as per-call.
+/// Transport failures retry with backoff charged against the leg budget —
+/// the stub only errors before any row arrived, so a retry starts from a
+/// clean slate with no partial cache claims to unwind.
 fn exchange_batch(
     inner: &Arc<Inner>,
     site: &str,
@@ -1596,10 +1577,19 @@ fn exchange_batch(
         }
         inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
         query_upstream.fetch_add(1, Ordering::Relaxed);
+        // A shared batch is one HTTP exchange: an entry running right up to
+        // the deadline would hold every sibling's finished answer past the
+        // gather deadline. The server works to a budget with ~1/8 held back,
+        // so the mixed response still travels back in time, while the stub
+        // waits for it until the leg's own deadline.
+        let headroom = match leg_ctx.remaining() {
+            Some(remaining) if leaders.len() > 1 => (remaining / 8).min(Duration::from_millis(250)),
+            _ => Duration::ZERO,
+        };
         let exchanged = if wire == Wire::BatchStream {
-            stream_batch(inner, site, &stub, &entries, leaders, leg_ctx)
+            stream_batch(inner, site, &stub, &entries, leaders, leg_ctx, headroom)
         } else {
-            buffered_batch(inner, site, &stub, &entries, leaders, wire, leg_ctx)
+            buffered_batch(inner, site, &stub, &entries, leaders, leg_ctx, headroom)
         };
         match exchanged {
             Ok(Exchange::Done(results)) => return Ok(results),
@@ -1612,6 +1602,12 @@ fn exchange_batch(
                 fallbacks.fetch_add(1, Ordering::Relaxed);
                 wire = wire.step_down();
                 inner.remember_downgrade(&authority, wire);
+                if wire == Wire::PerCall {
+                    return Err((
+                        SiteErrorKind::Fault,
+                        format!("{authority} does not speak the PPGB binary batch"),
+                    ));
+                }
             }
             Err(e) => {
                 let (kind, retryable) = classify(&e);
@@ -1632,30 +1628,19 @@ fn exchange_batch(
     }
 }
 
-/// One buffered multi-call exchange (binary PPGB on
-/// [`Wire::BinaryBatch`], XML otherwise): per-entry outcomes map to flight
-/// results, each successful entry filling the cache.
+/// One buffered PPGB binary batch exchange: per-entry outcomes map to
+/// flight results, each successful entry filling the cache.
 fn buffered_batch(
     inner: &Arc<Inner>,
     site: &str,
     stub: &ServiceStub,
     entries: &[BatchEntry],
     leaders: &[BatchLeader],
-    wire: Wire,
     leg_ctx: &CallContext,
+    headroom: Duration,
 ) -> pperf_ogsi::Result<Exchange> {
-    let outcomes: Vec<BatchOutcome> = if wire == Wire::BinaryBatch {
-        let Some(outcomes) = stub.call_batch_binary(entries, leg_ctx)? else {
-            return Ok(Exchange::Downgrade);
-        };
-        inner.stats.binary_calls.fetch_add(1, Ordering::Relaxed);
-        inner
-            .stats
-            .binary_entries
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        outcomes
-    } else {
-        stub.call_batch(entries, leg_ctx)?
+    let Some(outcomes) = stub.call_batch_binary(entries, leg_ctx, headroom)? else {
+        return Ok(Exchange::Downgrade);
     };
     inner.stats.batched_calls.fetch_add(1, Ordering::Relaxed);
     inner
@@ -1709,6 +1694,7 @@ fn stream_batch(
     entries: &[BatchEntry],
     leaders: &[BatchLeader],
     leg_ctx: &CallContext,
+    headroom: Duration,
 ) -> pperf_ogsi::Result<Exchange> {
     let mut entry_rows: Vec<Vec<String>> = vec![Vec::new(); leaders.len()];
     // Multi-focus rows restart time once per focus within one entry, so
@@ -1724,7 +1710,7 @@ fn stream_batch(
         })
         .collect();
     let mut frontiers = vec![f64::NEG_INFINITY; leaders.len()];
-    let streamed = stub.call_batch_stream(entries, leg_ctx, &mut |entry, frame| {
+    let streamed = stub.call_batch_stream(entries, leg_ctx, headroom, &mut |entry, frame| {
         if let Some(fill) = &frame_fills[entry] {
             match frame_window(&frame) {
                 Some((lo, hi)) if lo >= frontiers[entry] => {

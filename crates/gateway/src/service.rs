@@ -158,8 +158,6 @@ impl ServicePort for FederatedQueryService {
                 "batchFallbackCalls",
                 Value::Int(snapshot.batch_fallback_calls as i64),
             )
-            .with("binaryCalls", Value::Int(snapshot.binary_calls as i64))
-            .with("binaryEntries", Value::Int(snapshot.binary_entries as i64))
             .with(
                 "binaryFallbackCalls",
                 Value::Int(snapshot.binary_fallback_calls as i64),

@@ -1,10 +1,12 @@
 //! Batched wire protocol integration: mixed fleets of batch-capable and
 //! legacy sites, per-entry faults, and per-entry deadline expiry — all of
-//! which must preserve the gateway's partial-result semantics.
+//! which must preserve the gateway's partial-result semantics. The suite
+//! also runs under `PPG_FORCE_XML=1`, where every target goes per-call and
+//! the same answers must come back.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub, Wire};
+use pperf_ogsi::{force_xml, Container, ContainerConfig, Gsh, RegistryService, RegistryStub, Wire};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
 use std::collections::BTreeMap;
@@ -84,9 +86,9 @@ fn mixed_fleet_batched_and_legacy_sites_agree() {
         &c_new,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2, None)) as Arc<dyn ApplicationWrapper>,
-        // Version 1 exercises the XML batch plane in isolation
-        // (tests/binary.rs covers the PPGB plane).
-        &SiteConfig::new("new").with_wire_version(Wire::XmlBatch),
+        // Version 2 keeps the site on the buffered binary batch
+        // (tests/batch_stream.rs covers the interleaved batch stream).
+        &SiteConfig::new("new").with_wire_version(Wire::BinaryBatch),
     )
     .unwrap();
     let old_site = Site::deploy(
@@ -110,21 +112,27 @@ fn mixed_fleet_batched_and_legacy_sites_agree() {
     let batched = batched_gw.query(&query);
     assert!(batched.errors.is_empty(), "{:?}", batched.errors);
     assert_eq!(batched.rows.len(), 6);
-    // One multi-call for the capable site, three per-call fallbacks for the
-    // legacy one.
-    assert_eq!(batched.upstream_calls, 4);
     let snapshot = batched_gw.snapshot();
-    assert_eq!(snapshot.batched_calls, 1);
-    assert_eq!(snapshot.batch_entries, 3);
-    assert_eq!(
-        snapshot.batch_fallback_calls, 0,
-        "per-call is a version-0 site's own wire, not a fallback"
-    );
-    // The wire-level counters agree: only the capable site's container saw a
-    // multi-call.
-    assert_eq!(c_new.batch_counters(), (1, 3));
-    assert_eq!(c_old.batch_counters(), (0, 0));
-    assert_eq!(c_new.binary_counters(), (0, 0), "version 1 stays XML");
+    if force_xml() {
+        // The pin sends the capable site per-call too.
+        assert_eq!(batched.upstream_calls, 6);
+        assert_eq!(snapshot.batched_calls, 0);
+        assert_eq!(c_new.binary_counters(), (0, 0));
+    } else {
+        // One multi-call for the capable site, three per-call calls for the
+        // legacy one.
+        assert_eq!(batched.upstream_calls, 4);
+        assert_eq!(snapshot.batched_calls, 1);
+        assert_eq!(snapshot.batch_entries, 3);
+        assert_eq!(
+            snapshot.batch_fallback_calls, 0,
+            "per-call is a version-0 site's own wire, not a fallback"
+        );
+        // The wire-level counters agree: only the capable site's container
+        // saw a multi-call.
+        assert_eq!(c_new.binary_counters(), (1, 3));
+    }
+    assert_eq!(c_old.binary_counters(), (0, 0));
 
     // Identical rows, whatever the wire shape: both sites hold the same
     // data, one answered through a multi-call, the other per-call.
@@ -183,10 +191,17 @@ fn per_entry_fault_yields_partial_result_under_batching() {
         "{:?}",
         result.errors[0]
     );
-    // The whole site still rode one batched exchange.
+    // The whole site still rode one batched exchange (one call per entry
+    // under the pin).
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.batched_calls, 1);
-    assert_eq!(snapshot.batch_entries, 3);
+    if force_xml() {
+        assert_eq!(result.upstream_calls, 3);
+        assert_eq!(snapshot.batched_calls, 0);
+    } else {
+        assert_eq!(result.upstream_calls, 1);
+        assert_eq!(snapshot.batched_calls, 1);
+        assert_eq!(snapshot.batch_entries, 3);
+    }
 }
 
 /// Entries that outlive the query budget expire individually: the fast

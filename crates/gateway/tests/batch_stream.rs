@@ -153,12 +153,9 @@ fn mixed_fleet_batch_stream_and_buffered_sites_agree() {
     // interleaved route, and it saw no buffered batch at all.
     let (calls, entries, frames, rows, faults) = c_new.batch_stream_counters();
     assert_eq!((calls, entries, faults), (1, 3, 0));
-    assert!(
-        frames >= 1 + 3 * 2,
-        "head + per-entry head/trailer: {frames}"
-    );
+    assert!(frames > 3 * 2, "head + per-entry head/trailer: {frames}");
     assert_eq!(rows, 6);
-    assert_eq!(c_new.batch_counters(), (0, 0));
+    assert_eq!(c_new.binary_counters(), (0, 0));
     assert_eq!(c_old.batch_stream_counters().0, 0);
 
     // Identical rows on both wires: the two sites hold the same data.
@@ -307,7 +304,7 @@ fn consumer_cancel_abandons_batch_at_frame_boundary() {
     let ctx = CallContext::with_budget(Duration::from_secs(10));
     let mut delivered = 0usize;
     let streamed = stub
-        .call_batch_stream(&entries, &ctx, &mut |_entry, rows| {
+        .call_batch_stream(&entries, &ctx, Duration::ZERO, &mut |_entry, rows| {
             delivered += rows.len();
             false // stop after the very first frame of either entry
         })

@@ -124,17 +124,17 @@ fn federates_heterogeneous_sites_and_caches_repeats() {
     assert_eq!(first.rows.len(), 10);
     assert!(first.total_rows() >= 8 + 2 * 3);
     // Both sites advertise wire version 3, so the 10 targets collapse into
-    // one interleaved batch stream per site —
-    // unless the operational PPG_FORCE_XML pin keeps the batches buffered
-    // (ci.sh runs this suite both ways).
-    assert_eq!(first.upstream_calls, 2);
+    // one interleaved batch stream per site — unless the operational
+    // PPG_FORCE_XML pin sends every target per-call (ci.sh runs this suite
+    // both ways).
     assert!(first.rows.iter().all(|r| !r.from_cache));
     let snapshot = gateway.snapshot();
     if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
-        assert_eq!(snapshot.batched_calls, 2);
-        assert_eq!(snapshot.batch_entries, 10);
+        assert_eq!(first.upstream_calls, 10);
+        assert_eq!(snapshot.batched_calls, 0, "the pin never batches");
         assert_eq!(snapshot.batch_streams, 0, "the pin never batch-streams");
     } else {
+        assert_eq!(first.upstream_calls, 2);
         assert_eq!(snapshot.batch_streams, 2);
         assert_eq!(snapshot.batch_stream_entries, 10);
         assert_eq!(snapshot.batched_calls, 0, "nothing fell back to buffered");

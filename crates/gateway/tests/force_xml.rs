@@ -1,6 +1,6 @@
-//! `PPG_FORCE_XML=1` operational escape hatch: every exchange stays XML no
-//! matter what sites advertise. Lives in its own test binary because the
-//! variable is process-global.
+//! `PPG_FORCE_XML=1` operational escape hatch: every data exchange is the
+//! paper's per-call SOAP `getPR`, no matter what sites advertise. Lives in
+//! its own test binary because the variable is process-global.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
@@ -40,8 +40,9 @@ fn force_xml_pins_every_exchange_to_xml() {
         );
         app.add_execution(format!("mem-{i}"), exec);
     }
-    // The site advertises binary and its container would decode it — only
-    // the environment override keeps the exchange on XML.
+    // The site advertises the batch stream and its container serves every
+    // batch wire — only the environment override keeps the exchanges on
+    // per-call SOAP.
     let site = Site::deploy(
         &container,
         Arc::clone(&client),
@@ -64,31 +65,38 @@ fn force_xml_pins_every_exchange_to_xml() {
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.rows.len(), 3);
 
+    // Every target went per-call: three getPR exchanges, no batch of any
+    // kind, and the pin is not a downgrade — nothing was probed, nothing
+    // failed.
+    assert_eq!(result.upstream_calls, 3);
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.batched_calls, 1, "batching itself stays on");
-    assert_eq!(snapshot.binary_calls, 0);
+    assert_eq!(snapshot.batched_calls, 0, "forced XML never batches");
+    assert_eq!(snapshot.batch_streams, 0, "forced XML never batch-streams");
+    assert_eq!(
+        snapshot.batch_fallback_calls, 3,
+        "every target of the batch-capable site went per-call"
+    );
     assert_eq!(
         snapshot.binary_fallback_calls, 0,
         "forced XML is not a downgrade"
     );
-    // The site also advertises the interleaved batch-stream wire; the
-    // override keeps the batch buffered without recording a fallback.
-    assert_eq!(snapshot.batch_streams, 0, "forced XML never batch-streams");
     assert_eq!(
         snapshot.batch_stream_fallback_calls, 0,
         "a pin is not a fallback"
     );
-    assert_eq!(container.batch_counters(), (1, 3));
-    assert_eq!(container.binary_counters(), (0, 0));
+    assert_eq!(
+        container.binary_counters(),
+        (0, 0),
+        "/ogsa/binary never hit"
+    );
     assert_eq!(
         container.batch_stream_counters().0,
         0,
         "/ogsa/batch-stream never hit"
     );
 
-    // A singleton target would normally ride a batch stream of one; the
-    // pin caps the site at the XML batch, below which a singleton goes
-    // per-call.
+    // A singleton target would normally ride a batch stream of one; under
+    // the pin it goes per-call too.
     let solo = gateway
         .query(&FederatedQuery::new("gflops", vec!["/Execution".into()]).matching("runid", "0"));
     assert!(solo.errors.is_empty(), "{:?}", solo.errors);
@@ -96,14 +104,16 @@ fn force_xml_pins_every_exchange_to_xml() {
     let snapshot = gateway.snapshot();
     assert_eq!(snapshot.batch_streams, 0);
     assert_eq!(
-        snapshot.batch_fallback_calls, 1,
+        snapshot.batch_fallback_calls, 4,
         "the singleton went per-call"
     );
+    assert_eq!(snapshot.binary_fallback_calls, 0);
+    assert_eq!(snapshot.batch_stream_fallback_calls, 0);
 
     // A single call would normally stream as a batch of one (the site is
     // at wire version 3 and the container serves /ogsa/batch-stream) — the
-    // override pins it to the buffered XML call too, and the pin is not
-    // reported as a fallback: nothing was probed, nothing failed.
+    // override pins it to the buffered per-call getPR too, and the pin is
+    // not reported as a fallback.
     let factory = FactoryStub::bind(Arc::clone(&client), &site.app_factory);
     let app = ApplicationStub::bind(Arc::clone(&client), &factory.create_service(&[]).unwrap());
     let exec = ExecutionStub::bind(Arc::clone(&client), &app.get_all_execs().unwrap()[0]);
@@ -132,5 +142,10 @@ fn force_xml_pins_every_exchange_to_xml() {
         container.batch_stream_counters().0,
         0,
         "/ogsa/batch-stream never hit"
+    );
+    assert_eq!(
+        container.binary_counters(),
+        (0, 0),
+        "/ogsa/binary never hit"
     );
 }

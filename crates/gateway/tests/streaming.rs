@@ -354,7 +354,7 @@ fn stale_streaming_advertisement_falls_back_and_is_remembered() {
         "one dead probe, then the authority is remembered"
     );
     assert_eq!(
-        snapshot.binary_calls, 1,
+        snapshot.batched_calls, 1,
         "the held batch of one stepped down"
     );
 

@@ -27,11 +27,10 @@ use crate::service_data::ServiceData;
 use parking_lot::{Mutex, RwLock};
 use pperf_httpd::{Handler, HttpClient, HttpServer, Request, Response, ServerConfig, Status};
 use pperf_soap::{
-    decode_batch_call, decode_binary_batch_call, decode_call_with_context, encode_batch_response,
-    encode_batch_stream_head, encode_binary_batch_response, encode_binary_fault,
-    encode_entry_fault, encode_entry_head, encode_fault, encode_response, encode_stream_fault,
-    BatchEntry, BatchOutcome, Call, Fault, FrameWriter, Value, BINARY_CONTENT_TYPE,
-    DEFAULT_STREAM_FRAME_BYTES, STREAM_CONTENT_TYPE,
+    decode_binary_batch_call, decode_call_with_context, encode_batch_stream_head,
+    encode_binary_batch_response, encode_binary_fault, encode_entry_fault, encode_entry_head,
+    encode_fault, encode_response, encode_stream_fault, BatchEntry, BatchOutcome, Call, Fault,
+    FrameWriter, Value, BINARY_CONTENT_TYPE, DEFAULT_STREAM_FRAME_BYTES, STREAM_CONTENT_TYPE,
 };
 use ppg_context::CallContext;
 use ppg_notify::{
@@ -66,10 +65,6 @@ pub struct ContainerConfig {
     /// Emit one structured log line per SOAP request (request id, operation,
     /// outcome, elapsed time). Defaults to the `PPG_ACCESS_LOG=1` env var.
     pub access_log: bool,
-    /// Speak the PPGB binary batch codec: serve `POST /ogsa/binary`.
-    /// `false` models a site below wire version 2 — the binary route 404s,
-    /// which is exactly what drives a client's step down to the XML batch.
-    pub binary_enabled: bool,
     /// Speak the push notification plane: serve `POST /ogsa/subscribe` /
     /// `POST /ogsa/unsubscribe` and publish service-data deltas and
     /// result-cache invalidations to subscribers. `false` models a legacy
@@ -97,7 +92,6 @@ impl Default for ContainerConfig {
             sweep_interval: Duration::from_millis(250),
             max_connections: ServerConfig::default().max_connections,
             access_log: std::env::var("PPG_ACCESS_LOG").is_ok_and(|v| v == "1"),
-            binary_enabled: true,
             notifications_enabled: true,
             streaming_enabled: true,
             stream_window_bytes: 4 * DEFAULT_STREAM_FRAME_BYTES,
@@ -140,10 +134,6 @@ struct Inner {
     cancels_received: AtomicU64,
     /// Calls that completed with a cancellation fault.
     cancelled_calls: AtomicU64,
-    /// `POST /ogsa/batch` multi-call requests received.
-    batch_calls: AtomicU64,
-    /// Sub-call entries carried by those batches.
-    batch_entries: AtomicU64,
     /// `POST /ogsa/binary` PPGB-framed multi-call requests received.
     binary_calls: AtomicU64,
     /// Sub-call entries carried by those binary frames.
@@ -258,8 +248,6 @@ impl Container {
             deadline_exceeded: AtomicU64::new(0),
             cancels_received: AtomicU64::new(0),
             cancelled_calls: AtomicU64::new(0),
-            batch_calls: AtomicU64::new(0),
-            batch_entries: AtomicU64::new(0),
             binary_calls: AtomicU64::new(0),
             binary_entries: AtomicU64::new(0),
             batch_stream_calls: AtomicU64::new(0),
@@ -437,19 +425,10 @@ impl Container {
         )
     }
 
-    /// Batch counters: `(batch_calls, batch_entries)` — multi-call requests
-    /// received and the sub-call entries they carried.
-    pub fn batch_counters(&self) -> (u64, u64) {
-        (
-            self.inner.batch_calls.load(Ordering::Relaxed),
-            self.inner.batch_entries.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Binary codec counters: `(binary_calls, binary_entries)` — PPGB-framed
-    /// multi-call requests received and the sub-call entries they carried.
-    /// XML batches (even ones *answered* in binary during negotiation) count
-    /// under [`Container::batch_counters`] instead.
+    /// Binary batch counters: `(binary_calls, binary_entries)` — buffered
+    /// PPGB multi-call requests received on `POST /ogsa/binary` and the
+    /// sub-call entries they carried. Batch streams count under
+    /// [`Container::batch_stream_counters`] instead.
     pub fn binary_counters(&self) -> (u64, u64) {
         (
             self.inner.binary_calls.load(Ordering::Relaxed),
@@ -604,9 +583,6 @@ fn dispatch_post(inner: &Arc<Inner>, request: &Request) -> Response {
     if request.path == "/ogsa/cancel" {
         return handle_cancel(inner, request);
     }
-    if request.path == "/ogsa/batch" {
-        return handle_batch(inner, request);
-    }
     if request.path == "/ogsa/binary" {
         return handle_binary(inner, request);
     }
@@ -731,84 +707,6 @@ fn resolve_context(request: &Request, wire_ctx: Option<CallContext>) -> CallCont
 /// host's handler threads.
 const BATCH_PARALLELISM: usize = 8;
 
-/// `POST /ogsa/batch`: a multi-call envelope (see [`pperf_soap::batch`]).
-///
-/// All entries run under one shared [`CallContext`] — one deadline, one
-/// cancel key in the active-call registry — but each entry gets its own
-/// span and its own outcome. One entry faulting (or arriving after the
-/// budget is spent) never fails its neighbours; only a batch whose budget
-/// was already gone *on arrival* is refused wholesale.
-fn handle_batch(inner: &Arc<Inner>, request: &Request) -> Response {
-    let started = Instant::now();
-    let (entries, soap_ctx) = match decode_batch_call(&request.body_str()) {
-        Ok(parts) => parts,
-        Err(e) => {
-            let fault = Fault::client(format!("malformed batch request: {e}"));
-            return Response::xml(Status::BAD_REQUEST, encode_fault(&fault));
-        }
-    };
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    inner.batch_calls.fetch_add(1, Ordering::Relaxed);
-    inner
-        .batch_entries
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-    let ctx = resolve_context(request, soap_ctx);
-    let site = format!("{}:{}", inner.host, inner.port_u16());
-    let (outcome_tag, mut response) = if ctx.expired() {
-        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        let fault = Fault::deadline_exceeded(format!(
-            "batch {} arrived after its deadline",
-            ctx.request_id()
-        ));
-        ctx.record_span(
-            "ogsi.container",
-            "multiCall",
-            &site,
-            started,
-            "deadline-exceeded",
-        );
-        (
-            "deadline-exceeded",
-            Response::xml(Status::INTERNAL_SERVER_ERROR, encode_fault(&fault)),
-        )
-    } else {
-        let cancel_key = ctx.cancel_key();
-        inner.active.lock().insert(cancel_key.clone(), ctx.clone());
-        let outcomes = run_batch_entries(inner, &entries, &ctx);
-        inner.active.lock().remove(&cancel_key);
-        let tag = tally_batch_outcomes(inner, &outcomes);
-        ctx.record_span("ogsi.container", "multiCall", &site, started, tag);
-        (
-            tag,
-            Response::xml(Status::OK, encode_batch_response(&outcomes)),
-        )
-    };
-
-    response
-        .headers
-        .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-    let spans = ctx.spans();
-    if !spans.is_empty() {
-        response
-            .headers
-            .set(ppg_context::TRACE_HEADER, ppg_context::encode_trace(&spans));
-    }
-    if inner.config.access_log {
-        eprintln!(
-            "ppg-access request_id={} leg={} op=multiCall entries={} path={} status={} outcome={} elapsed_us={} remaining_ms={}",
-            ctx.request_id(),
-            if ctx.leg_tag().is_empty() { "-" } else { ctx.leg_tag() },
-            entries.len(),
-            request.path,
-            response.status.0,
-            outcome_tag,
-            started.elapsed().as_micros(),
-            ctx.deadline_ms().map_or_else(|| "-".into(), |ms| ms.to_string()),
-        );
-    }
-    response
-}
-
 /// Bump the deadline/cancel counters for a batch's per-entry outcomes and
 /// name the overall result: `"ok"` when every entry succeeded, `"partial"`
 /// otherwise.
@@ -835,19 +733,16 @@ fn tally_batch_outcomes(inner: &Inner, outcomes: &[BatchOutcome]) -> &'static st
     }
 }
 
-/// `POST /ogsa/binary`: the PPGB-framed twin of `/ogsa/batch`. Entry
-/// semantics are identical — one shared context, per-entry outcomes, a
-/// whole-batch fault only when the budget was spent on arrival — but both
-/// directions are length-prefixed binary frames instead of SOAP envelopes.
+/// `POST /ogsa/binary`: a multi-call batch in PPGB frames (see
+/// [`pperf_soap::batch`] and [`pperf_soap::wire`]).
 ///
-/// Error shape matters for negotiation: a site with the codec disabled
-/// answers 404 (the route "does not exist" below wire version 2) and a
-/// corrupt request frame gets a plain-text 400. Both are the stub's cue to
-/// step down and re-send as XML.
+/// All entries run under one shared [`CallContext`] — one deadline, one
+/// cancel key in the active-call registry — but each entry gets its own
+/// span and its own outcome. One entry faulting (or arriving after the
+/// budget is spent) never fails its neighbours; only a batch whose budget
+/// was already gone *on arrival* is refused wholesale, with a kind-3 fault
+/// frame. A corrupt request frame gets a plain-text 400.
 fn handle_binary(inner: &Arc<Inner>, request: &Request) -> Response {
-    if !inner.config.binary_enabled {
-        return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
-    }
     let started = Instant::now();
     let (entries, frame_ctx) = match decode_binary_batch_call(&request.body) {
         Ok(parts) => parts,
@@ -1387,14 +1282,6 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
         (
             "ppg_cancelled_calls_total",
             inner.cancelled_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_calls_total",
-            inner.batch_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_entries_total",
-            inner.batch_entries.load(Ordering::Relaxed),
         ),
         (
             "ppg_binary_calls_total",

@@ -8,14 +8,13 @@ use crate::gsh::Gsh;
 use pperf_httpd::{HttpClient, HttpError, Request, Response, Url};
 use pperf_soap::wsdl::ServiceDescription;
 use pperf_soap::{
-    decode_batch_response, decode_binary_batch_response, decode_response, encode_batch_call,
-    encode_binary_batch_call, encode_call, encode_call_with_context, BatchEntry, BatchOutcome,
-    BatchStreamEvent, BatchStreamReader, Fault, SoapError, Value, WireError, BINARY_CONTENT_TYPE,
-    STREAM_CONTENT_TYPE,
+    decode_binary_batch_response, decode_response, encode_binary_batch_call, encode_call,
+    encode_call_with_context, BatchEntry, BatchOutcome, BatchStreamEvent, BatchStreamReader, Fault,
+    SoapError, Value, WireError, BINARY_CONTENT_TYPE, STREAM_CONTENT_TYPE,
 };
 use ppg_context::CallContext;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Did the server answer in the PPGB binary codec? 200 carries outcomes,
 /// 500 a whole-batch fault frame; any other status is transport-level.
@@ -38,8 +37,9 @@ fn fault_tag(fault: &Fault) -> &'static str {
     }
 }
 
-/// Whether `PPG_FORCE_XML=1` pins every exchange to the XML wires: the
-/// operational escape hatch, and how CI proves the wires agree.
+/// Whether `PPG_FORCE_XML=1` pins every data exchange to the paper's
+/// per-call SOAP `getPR`: the operational escape hatch, and how CI proves
+/// the wires agree.
 pub fn force_xml() -> bool {
     std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1")
 }
@@ -51,29 +51,28 @@ pub const WIRE_VERSION_SDE: &str = "wireVersion";
 /// The data-plane wires, in negotiation order. A site advertises the newest
 /// one it speaks as its [`WIRE_VERSION_SDE`] service data; each version adds
 /// one wire on top of every older one, so a client can step down a rung at
-/// a time when a peer turns out older than it claimed.
+/// a time when a peer turns out older than it claimed. Version 1 (the
+/// retired XML `multiCall` batch) reads as per-call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Wire {
     /// Version 0: per-call SOAP `getPR`, the paper's wire.
-    PerCall,
-    /// Version 1: XML `multiCall` batches on `POST /ogsa/batch`.
-    XmlBatch,
-    /// Version 2: PPGB binary batches on `POST /ogsa/binary`.
-    BinaryBatch,
+    PerCall = 0,
+    /// Version 2: PPGB binary batches on `POST /ogsa/binary`, which every
+    /// container serves — the floor of the batch step-down ladder.
+    BinaryBatch = 2,
     /// Version 3: interleaved batch streams on `POST /ogsa/batch-stream`.
-    BatchStream,
+    BatchStream = 3,
 }
 
 impl Wire {
     /// The newest wire, which sites of this release advertise by default.
     pub const LATEST: Wire = Wire::BatchStream;
 
-    /// The wire a `wireVersion` value names. Zero or below is per-call
+    /// The wire a `wireVersion` value names. One or below is per-call
     /// SOAP; versions newer than this release clamp to [`Wire::LATEST`].
     pub fn from_version(version: i64) -> Wire {
         match version {
-            i64::MIN..=0 => Wire::PerCall,
-            1 => Wire::XmlBatch,
+            i64::MIN..=1 => Wire::PerCall,
             2 => Wire::BinaryBatch,
             _ => Wire::BatchStream,
         }
@@ -84,14 +83,13 @@ impl Wire {
         self as i64
     }
 
-    /// The next older batch wire: where a batch goes when the peer turns
-    /// out not to speak this one. Every container serves the XML batch, so
-    /// it is the floor.
+    /// The next older wire: where traffic goes when the peer turns out not
+    /// to speak this one. A batch stream steps down to the binary batch;
+    /// below the binary batch only per-call SOAP remains.
     pub fn step_down(self) -> Wire {
         match self {
             Wire::BatchStream => Wire::BinaryBatch,
-            Wire::BinaryBatch | Wire::XmlBatch => Wire::XmlBatch,
-            Wire::PerCall => Wire::PerCall,
+            Wire::BinaryBatch | Wire::PerCall => Wire::PerCall,
         }
     }
 }
@@ -144,6 +142,17 @@ fn check_budget(ctx: &CallContext, operation: &str, site: &str, started: Instant
     Err(OgsiError::DeadlineExceeded(format!(
         "{operation} on {site}: budget exhausted before send"
     )))
+}
+
+/// The context a batch's server works to: `ctx` with `headroom` held back
+/// from its remaining budget (same request id, leg tag and trace).
+fn server_context(ctx: &CallContext, headroom: Duration) -> CallContext {
+    match ctx.remaining() {
+        Some(remaining) if !headroom.is_zero() => {
+            ctx.with_remaining(remaining.saturating_sub(headroom))
+        }
+        _ => ctx.clone(),
+    }
 }
 
 /// Fill every entry slot a dead batch stream left unsealed with a
@@ -341,103 +350,33 @@ impl ServiceStub {
     }
 
     /// Invoke a multi-call batch against the container hosting this stub's
-    /// service: N sub-calls (each naming its own target path) ride one HTTP
-    /// exchange to `POST /ogsa/batch` as a SOAP `multiCall` envelope.
-    /// Returns per-entry outcomes in request order. Transport failures and
-    /// whole-batch refusals are this call's error; per-entry faults are
-    /// each entry's own.
-    pub fn call_batch(
-        &self,
-        entries: &[BatchEntry],
-        ctx: &CallContext,
-    ) -> Result<Vec<BatchOutcome>> {
-        let started = Instant::now();
-        let site = self.url.authority();
-        check_budget(ctx, "multiCall", &site, started)?;
-        let body = encode_batch_call(entries, Some(ctx));
-        let response = self.send_to(
-            "/ogsa/batch",
-            "text/xml; charset=utf-8",
-            body.into_bytes(),
-            ctx,
-            started,
-        )?;
-        if !response.status.is_success() && response.status.0 != 500 {
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, "http-error");
-            return Err(OgsiError::HttpStatus(
-                response.status.0,
-                response.body_str().into_owned(),
-            ));
-        }
-        match decode_batch_response(&response.body_str()) {
-            Ok(outcomes) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                Ok(outcomes)
-            }
-            Err(SoapError::Fault(f)) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                Err(OgsiError::Fault(f))
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "soap-error");
-                Err(OgsiError::Soap(e))
-            }
-        }
-    }
-
-    /// [`ServiceStub::call_batch`] over the PPGB binary codec: one
-    /// length-prefixed frame each way on `POST /ogsa/binary`.
+    /// service: N sub-calls (each naming its own target path) ride one
+    /// length-prefixed PPGB frame each way on `POST /ogsa/binary`. Returns
+    /// per-entry outcomes in request order. Transport failures and
+    /// whole-batch refusals are this call's error; per-entry faults are each
+    /// entry's own.
     ///
-    /// `Ok(None)` means "this peer does not speak PPGB" — a 404 from a site
-    /// that predates the codec, a non-binary answer, or a corrupt frame.
-    /// The caller steps down to the XML batch, which surfaces any real
-    /// fault; batch traffic is `getPR`-style reads, so the re-send cannot
-    /// double-execute anything destructive.
+    /// The server is told `ctx`'s remaining budget less `headroom`, while
+    /// this stub waits for the answer until `ctx`'s own deadline: entries
+    /// cut off at the server's deadline still travel back in time.
+    ///
+    /// `Ok(None)` means "this peer does not speak PPGB" — a 404, a
+    /// non-binary answer, or a corrupt frame.
     pub fn call_batch_binary(
         &self,
         entries: &[BatchEntry],
         ctx: &CallContext,
+        headroom: Duration,
     ) -> Result<Option<Vec<BatchOutcome>>> {
         let started = Instant::now();
         let site = self.url.authority();
         check_budget(ctx, "multiCall", &site, started)?;
-        let frame = encode_binary_batch_call(entries, Some(ctx));
-        let response = self.send_to("/ogsa/binary", BINARY_CONTENT_TYPE, frame, ctx, started)?;
-        if !is_binary_response(&response) {
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-downgrade");
-            return Ok(None);
-        }
-        match decode_binary_batch_response(&response.body) {
-            Ok(outcomes) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                Ok(Some(outcomes))
-            }
-            Err(WireError::Fault(f)) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                Err(OgsiError::Fault(f))
-            }
-            Err(_) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
-                Ok(None)
-            }
-        }
-    }
-
-    /// POST one buffered batch body to `path` on this stub's container
-    /// under `ctx`'s deadline, merging the server's `X-PPG-Trace` spans.
-    fn send_to(
-        &self,
-        path: &str,
-        content_type: &str,
-        body: Vec<u8>,
-        ctx: &CallContext,
-        started: Instant,
-    ) -> Result<Response> {
-        let site = self.url.authority();
+        let server_ctx = server_context(ctx, headroom);
+        let frame = encode_binary_batch_call(entries, Some(&server_ctx));
         let mut url = self.url.clone();
-        url.path = path.to_owned();
-        let mut request = Request::post(path, content_type, body);
-        self.set_context_headers(&mut request, ctx);
+        url.path = "/ogsa/binary".to_owned();
+        let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
+        self.set_context_headers(&mut request, &server_ctx);
         let response = match self
             .client
             .send_with_deadline(&url, &request, ctx.deadline())
@@ -463,7 +402,24 @@ impl ServiceStub {
         if let Some(trace) = response.headers.get(ppg_context::TRACE_HEADER) {
             ctx.extend_spans(ppg_context::decode_trace(trace));
         }
-        Ok(response)
+        if !is_binary_response(&response) {
+            ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-downgrade");
+            return Ok(None);
+        }
+        match decode_binary_batch_response(&response.body) {
+            Ok(outcomes) => {
+                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
+                Ok(Some(outcomes))
+            }
+            Err(WireError::Fault(f)) => {
+                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
+                Err(OgsiError::Fault(f))
+            }
+            Err(_) => {
+                ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
+                Ok(None)
+            }
+        }
     }
 
     /// Invoke a multi-call batch whose results stream back as *interleaved*
@@ -471,6 +427,9 @@ impl ServiceStub {
     /// handed to `on_rows(entry_index, rows)` as its frames decode, in
     /// whatever order the server's parallel producers yield them — a 2-call
     /// federated fan-out streams end to end in one exchange per site.
+    ///
+    /// `headroom` works as in [`ServiceStub::call_batch_binary`]: the server
+    /// gets the reduced budget, the stub reads until `ctx`'s deadline.
     ///
     /// `Ok(None)` means "this peer does not batch-stream" (404 from a site
     /// below wire version 3, a non-stream head, or a corrupt frame before
@@ -489,17 +448,19 @@ impl ServiceStub {
         &self,
         entries: &[BatchEntry],
         ctx: &CallContext,
+        headroom: Duration,
         on_rows: &mut dyn FnMut(usize, Vec<String>) -> bool,
     ) -> Result<Option<BatchStreamResult>> {
         let started = Instant::now();
         let site = self.url.authority();
         check_budget(ctx, "multiCallStream", &site, started)?;
-        let frame = encode_binary_batch_call(entries, Some(ctx));
+        let server_ctx = server_context(ctx, headroom);
+        let frame = encode_binary_batch_call(entries, Some(&server_ctx));
         let mut url = self.url.clone();
         url.path = "/ogsa/batch-stream".to_owned();
         let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
         request.headers.set("Accept", STREAM_CONTENT_TYPE);
-        self.set_context_headers(&mut request, ctx);
+        self.set_context_headers(&mut request, &server_ctx);
         let mut stream = match self.client.send_streaming(&url, &request, ctx.deadline()) {
             Ok(stream) => stream,
             Err(HttpError::TimedOut) => {
@@ -766,5 +727,30 @@ impl ServiceStub {
             ));
         }
         Ok(ServiceDescription::from_xml(&response.body_str())?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wire_versions_map_onto_the_surviving_wires() {
+        // Version 1 named the retired XML multiCall batch: such a site is
+        // served per-call, like every version at or below it.
+        for version in [i64::MIN, -1, 0, 1] {
+            assert_eq!(Wire::from_version(version), Wire::PerCall, "{version}");
+        }
+        assert_eq!(Wire::from_version(2), Wire::BinaryBatch);
+        assert_eq!(Wire::from_version(3), Wire::BatchStream);
+        assert_eq!(Wire::from_version(99), Wire::LATEST);
+        for wire in [Wire::PerCall, Wire::BinaryBatch, Wire::BatchStream] {
+            assert_eq!(Wire::from_version(wire.version()), wire);
+        }
+        // The binary batch is the floor of the batch ladder; below it only
+        // per-call SOAP remains.
+        assert_eq!(Wire::BatchStream.step_down(), Wire::BinaryBatch);
+        assert_eq!(Wire::BinaryBatch.step_down(), Wire::PerCall);
+        assert_eq!(Wire::PerCall.step_down(), Wire::PerCall);
     }
 }

@@ -1,14 +1,18 @@
 //! End-to-end tests of the Grid service container over real sockets:
 //! deploy → discover → create instances → invoke → lifetime management.
 
-use pperf_httpd::HttpClient;
+use pperf_httpd::{HttpClient, HttpServer, Request, Response, ServerConfig, Status};
 use pperf_ogsi::{
     Container, ContainerConfig, Factory, FactoryStub, GridServiceStub, Gsh, HandleMapStub,
     NotificationSinkStub, NotificationSourceStub, OgsiError, RegistryService, RegistryStub,
     ServiceData, ServiceEntry, ServicePort, ServiceStub,
 };
 use pperf_soap::wsdl::{Operation, PortType, ServiceDescription};
-use pperf_soap::{Call, Fault, Value, ValueType};
+use pperf_soap::{
+    decode_binary_batch_call, BatchEntry, Call, Fault, Value, ValueType, BINARY_CONTENT_TYPE,
+    PPGB_MAGIC,
+};
+use ppg_context::CallContext;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -516,4 +520,51 @@ fn soft_state_registration_over_the_wire() {
     registry.register_service(&entry).unwrap();
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(registry.list_services("O").unwrap().len(), 1);
+}
+
+/// The binary batch is the floor of the step-down ladder: a peer that
+/// answers `/ogsa/binary` with anything but a PPGB frame — plain text, a
+/// body labelled PPGB that does not decode, a 404 — yields the stub's "not
+/// spoken" signal (`Ok(None)`), never a panic and never a decoded outcome.
+#[test]
+fn binary_batch_floor_reports_foreign_answers_as_not_spoken() {
+    // The request itself is a real PPGB frame; its one entry's path picks
+    // the foreign answer.
+    let handler = |request: &Request| -> Response {
+        let (entries, _) = decode_binary_batch_call(&request.body).expect("stub sent PPGB");
+        match (request.path.as_str(), entries[0].path.as_str()) {
+            ("/ogsa/binary", "text") => {
+                Response::ok("text/plain; charset=utf-8", b"no PPGB here".to_vec())
+            }
+            ("/ogsa/binary", "corrupt") => {
+                let mut body = PPGB_MAGIC.to_vec();
+                body.extend_from_slice(&[1, 2, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+                Response::ok(BINARY_CONTENT_TYPE, body)
+            }
+            _ => Response::text(Status::NOT_FOUND, "no such route"),
+        }
+    };
+    let server = HttpServer::bind("127.0.0.1:0", ServerConfig::default(), Arc::new(handler))
+        .expect("bind bare server");
+    let client = Arc::new(HttpClient::new());
+    let gsh = Gsh::parse(format!("http://{}/ogsa/services/exec", server.addr())).unwrap();
+    let stub = ServiceStub::new(client, gsh);
+    for (path, tag) in [
+        ("text", "binary-downgrade"),
+        ("corrupt", "binary-corrupt"),
+        ("missing", "binary-downgrade"),
+    ] {
+        let entry = BatchEntry::new(path, "getPR", "urn:test", &[("metric", Value::from("m"))]);
+        let ctx = CallContext::with_budget(Duration::from_secs(5));
+        let answer = stub
+            .call_batch_binary(&[entry], &ctx, Duration::ZERO)
+            .unwrap_or_else(|e| panic!("{path}: a foreign answer is not an error: {e}"));
+        assert!(answer.is_none(), "{path}: decoded {answer:?}");
+        let spans = ctx.spans();
+        assert_eq!(
+            spans.last().map(|s| s.outcome.as_str()),
+            Some(tag),
+            "{path}: {spans:?}"
+        );
+    }
 }

@@ -169,8 +169,8 @@ impl ServicePort for ApplicationService {
             data = data.with("managerGsh", Value::from(gsh.as_str()));
         }
         // Wire negotiation: one ordered capability. Clients pick the newest
-        // wire up to this version (0 = per-call SOAP, 1 = XML multiCall,
-        // 2 = PPGB binary batch, 3 = batch stream); absent means 0.
+        // wire up to this version (0 = per-call SOAP, 2 = PPGB binary
+        // batch, 3 = batch stream); absent or 1 means per-call.
         data = data.with(WIRE_VERSION_SDE, Value::Int(self.wire_version.version()));
         data
     }

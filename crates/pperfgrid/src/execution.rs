@@ -11,10 +11,10 @@ use pperf_ogsi::{
     BatchStreamEntryOutcome, Factory, Gsh, OgsiError, ServiceData, ServicePort, ServiceStub,
 };
 use pperf_soap::wsdl::{Operation, PortType, ServiceDescription};
-use pperf_soap::{pack_strs, unpack_strs, BatchEntry, Call, Fault, Value, ValueType};
+use pperf_soap::{BatchEntry, Call, Fault, Value, ValueType};
 use ppg_context::CallContext;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The Execution PortType description (thesis Table 2, verbatim semantics).
 pub fn execution_description() -> ServiceDescription {
@@ -67,97 +67,8 @@ pub fn execution_description() -> ServiceDescription {
                 ValueType::StrArray,
                 "Returns Performance Results meeting the criteria",
             ),
-            Operation::new(
-                "getPRBatch",
-                vec![("queries", ValueType::StrArray)],
-                ValueType::StrArray,
-                "Answers many getPR tuples in one call; each query and each \
-                 per-query outcome is one packed-strings block, outcomes in \
-                 query order",
-            ),
         ],
     ))
-}
-
-/// Encode one `getPRBatch` query tuple as a packed-strings block:
-/// `[metric, startTime, endTime, type, focus...]` through
-/// [`pperf_soap::pack_strs`]. The length-prefixed grammar keeps hostile
-/// metric/focus names (separators, newlines) lossless without inventing a
-/// second escaping scheme next to [`crate::wrapper::pr_cache_key`].
-pub fn encode_pr_tuple(query: &PrQuery) -> String {
-    let mut items = Vec::with_capacity(4 + query.foci.len());
-    items.push(query.metric.clone());
-    items.push(query.start.clone());
-    items.push(query.end.clone());
-    items.push(query.rtype.clone());
-    items.extend(query.foci.iter().cloned());
-    pack_strs(&items)
-}
-
-/// Decode a [`encode_pr_tuple`] block back into a query.
-pub fn decode_pr_tuple(block: &str) -> Result<PrQuery, Fault> {
-    let mut items = unpack_strs(block)
-        .map_err(|e| Fault::client(format!("malformed getPRBatch tuple: {e}")))?
-        .into_iter();
-    let (Some(metric), Some(start), Some(end), Some(rtype)) =
-        (items.next(), items.next(), items.next(), items.next())
-    else {
-        return Err(Fault::client(
-            "getPRBatch tuple needs [metric, startTime, endTime, type, focus...]",
-        ));
-    };
-    Ok(PrQuery {
-        metric,
-        foci: items.collect(),
-        start,
-        end,
-        rtype,
-    })
-}
-
-/// Encode one per-query `getPRBatch` outcome: `["ok", row...]` for rows, or
-/// `[tag, message]` for a per-query fault (`tag` is `fault`,
-/// `deadline-exceeded`, or `cancelled`).
-fn encode_pr_outcome(outcome: &Result<Vec<String>, Fault>) -> String {
-    match outcome {
-        Ok(rows) => {
-            let mut items = Vec::with_capacity(rows.len() + 1);
-            items.push("ok".to_owned());
-            items.extend(rows.iter().cloned());
-            pack_strs(&items)
-        }
-        Err(f) => {
-            let tag = if f.is_deadline_exceeded() {
-                "deadline-exceeded"
-            } else if f.is_cancelled() {
-                "cancelled"
-            } else {
-                "fault"
-            };
-            pack_strs(&[tag.to_owned(), f.string.clone()])
-        }
-    }
-}
-
-/// Decode a [`encode_pr_outcome`] block.
-fn decode_pr_outcome(block: &str) -> Result<Result<Vec<String>, Fault>, Fault> {
-    let mut items = unpack_strs(block)
-        .map_err(|e| Fault::client(format!("malformed getPRBatch outcome: {e}")))?
-        .into_iter();
-    let tag = items
-        .next()
-        .ok_or_else(|| Fault::client("empty getPRBatch outcome"))?;
-    Ok(match tag.as_str() {
-        "ok" => Ok(items.collect()),
-        "deadline-exceeded" => Err(Fault::deadline_exceeded(items.next().unwrap_or_default())),
-        "cancelled" => Err(Fault::cancelled(items.next().unwrap_or_default())),
-        "fault" => Err(Fault::server(items.next().unwrap_or_default())),
-        other => {
-            return Err(Fault::client(format!(
-                "unknown getPRBatch outcome tag {other:?}"
-            )))
-        }
-    })
 }
 
 /// A transient, stateful Execution Grid service instance.
@@ -263,93 +174,6 @@ impl ExecutionService {
             ctx.record_span("pperfgrid.execution", "getPR", &self.exec_id, started, tag);
         }
         result
-    }
-
-    /// `getPRBatch`: many query tuples against this one instance, one wire
-    /// call. Each tuple probes the PR cache individually; the *misses* are
-    /// funnelled through a single [`ExecutionWrapper::get_pr_batch`] call so
-    /// the mapping layer sees one request per miss group rather than one per
-    /// tuple. Outcomes are per tuple — a bad tuple or a budget that runs out
-    /// mid-batch faults that tuple, not its neighbours.
-    fn get_pr_batch(&self, call: &Call, ctx: Option<&CallContext>) -> Result<Value, Fault> {
-        let blocks = call
-            .param("queries")
-            .and_then(Value::as_str_array)
-            .ok_or_else(|| Fault::client("missing string-array parameter \"queries\""))?;
-        let started = Instant::now();
-        if let Some(ctx) = ctx {
-            if ctx.expired() {
-                ctx.record_span(
-                    "pperfgrid.execution",
-                    "getPRBatch",
-                    &self.exec_id,
-                    started,
-                    "deadline-exceeded",
-                );
-                return Err(self.doomed_fault(ctx));
-            }
-        }
-        let mut outcomes: Vec<Option<Result<Vec<String>, Fault>>> = vec![None; blocks.len()];
-        let mut misses: Vec<(usize, PrQuery)> = Vec::new();
-        for (i, block) in blocks.iter().enumerate() {
-            match decode_pr_tuple(block) {
-                Ok(query) => {
-                    if self.cache_enabled {
-                        if let Some(rows) = self.cache.get(&query.cache_key()) {
-                            outcomes[i] = Some(Ok((*rows).clone()));
-                            continue;
-                        }
-                    }
-                    misses.push((i, query));
-                }
-                Err(f) => outcomes[i] = Some(Err(f)),
-            }
-        }
-        if !misses.is_empty() {
-            let queries: Vec<PrQuery> = misses.iter().map(|(_, q)| q.clone()).collect();
-            let results = self.wrapper.get_pr_batch(&queries);
-            // Same doomed-call discipline as getPR: when the caller's budget
-            // ran out while the wrapper worked, the rows neither go back on
-            // the wire nor into the cache.
-            let doomed = ctx.is_some_and(|c| c.expired());
-            for ((i, query), result) in misses.into_iter().zip(results) {
-                outcomes[i] = Some(if doomed {
-                    Err(self.doomed_fault(ctx.expect("checked is_some")))
-                } else {
-                    match result {
-                        Ok(rows) if self.cache_enabled => {
-                            let shared = self.cache.insert(query.cache_key(), rows);
-                            Ok((*shared).clone())
-                        }
-                        Ok(rows) => Ok(rows),
-                        Err(e) => Err(Fault::server(e.to_string())),
-                    }
-                });
-            }
-        }
-        let outcomes: Vec<Result<Vec<String>, Fault>> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every tuple got an outcome"))
-            .collect();
-        if let Some(ctx) = ctx {
-            let tag = if outcomes.iter().all(Result::is_ok) {
-                "ok"
-            } else if outcomes.iter().any(Result::is_ok) {
-                "partial"
-            } else {
-                "fault"
-            };
-            ctx.record_span(
-                "pperfgrid.execution",
-                "getPRBatch",
-                &self.exec_id,
-                started,
-                tag,
-            );
-        }
-        Ok(Value::StrArray(
-            outcomes.iter().map(encode_pr_outcome).collect(),
-        ))
     }
 
     /// The typed fault for a call whose context expired mid-flight.
@@ -511,7 +335,6 @@ impl ServicePort for ExecutionService {
                 Ok(Value::StrArray(vec![s, e]))
             }
             "getPR" => self.get_pr(call, ppg_context::current().as_ref()),
-            "getPRBatch" => self.get_pr_batch(call, ppg_context::current().as_ref()),
             other => Err(Fault::client(format!(
                 "unknown Execution operation {other:?}"
             ))),
@@ -521,9 +344,6 @@ impl ServicePort for ExecutionService {
     fn invoke_ctx(&self, operation: &str, call: &Call, ctx: &CallContext) -> Result<Value, Fault> {
         if operation == "getPR" {
             return self.get_pr(call, Some(ctx));
-        }
-        if operation == "getPRBatch" {
-            return self.get_pr_batch(call, Some(ctx));
         }
         // The discovery operations are cheap, but refusing doomed work at
         // the boundary keeps the contract uniform across operations.
@@ -748,6 +568,7 @@ impl ExecutionStub {
             let streamed = self.stub.call_batch_stream(
                 std::slice::from_ref(&entry),
                 ctx,
+                Duration::ZERO,
                 &mut |_, rows| on_rows(rows),
             )?;
             let Some(streamed) = streamed else {
@@ -805,31 +626,6 @@ impl ExecutionStub {
         })
     }
 
-    /// `getPRBatch`: many tuples, one call, per-tuple outcomes in order.
-    pub fn get_pr_batch(
-        &self,
-        queries: &[PrQuery],
-    ) -> pperf_ogsi::Result<Vec<Result<Vec<String>, Fault>>> {
-        let blocks = self
-            .stub
-            .call_str_array("getPRBatch", &[Self::pr_batch_params(queries)])?;
-        Self::decode_pr_batch(queries.len(), blocks)
-    }
-
-    /// `getPRBatch` carrying an explicit call context.
-    pub fn get_pr_batch_with_context(
-        &self,
-        queries: &[PrQuery],
-        ctx: &CallContext,
-    ) -> pperf_ogsi::Result<Vec<Result<Vec<String>, Fault>>> {
-        let blocks = self.stub.call_str_array_with_context(
-            "getPRBatch",
-            &[Self::pr_batch_params(queries)],
-            ctx,
-        )?;
-        Self::decode_pr_batch(queries.len(), blocks)
-    }
-
     /// The wire parameter set for a `getPR` call. Public so batching layers
     /// (the gateway's per-site multi-call) marshal *exactly* the parameters
     /// the per-call path uses, instead of re-deriving them.
@@ -842,35 +638,6 @@ impl ExecutionStub {
             ("type", Value::from(query.rtype.as_str())),
         ]
     }
-
-    fn pr_batch_params(queries: &[PrQuery]) -> (&'static str, Value) {
-        (
-            "queries",
-            Value::StrArray(queries.iter().map(encode_pr_tuple).collect()),
-        )
-    }
-
-    fn decode_pr_batch(
-        expected: usize,
-        blocks: Vec<String>,
-    ) -> pperf_ogsi::Result<Vec<Result<Vec<String>, Fault>>> {
-        if blocks.len() != expected {
-            return Err(pperf_ogsi::OgsiError::Soap(
-                pperf_soap::SoapError::Envelope(format!(
-                    "getPRBatch answered {} outcomes for {} queries",
-                    blocks.len(),
-                    expected
-                )),
-            ));
-        }
-        blocks
-            .iter()
-            .map(|b| {
-                decode_pr_outcome(b)
-                    .map_err(|f| pperf_ogsi::OgsiError::Soap(pperf_soap::SoapError::Fault(f)))
-            })
-            .collect()
-    }
 }
 
 /// Split `name|value` strings back into pairs.
@@ -881,215 +648,4 @@ pub(crate) fn split_pairs(rows: Vec<String>) -> Vec<(String, String)> {
             None => (row, String::new()),
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::wrapper::WrapperError;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn pr_tuple_roundtrips_hostile_names() {
-        let query = PrQuery {
-            metric: "lat | p99-p50;3:abc".into(),
-            foci: vec!["/a,b".into(), "/c\nd".into()],
-            start: "-1.5".into(),
-            end: "2-3".into(),
-            rtype: "tau;2".into(),
-        };
-        assert_eq!(decode_pr_tuple(&encode_pr_tuple(&query)).unwrap(), query);
-        // Foci-less tuples are legal (empty foci ⇒ all foci, as in getPR).
-        let bare = PrQuery {
-            metric: "m".into(),
-            foci: vec![],
-            start: String::new(),
-            end: String::new(),
-            rtype: "UNDEFINED".into(),
-        };
-        assert_eq!(decode_pr_tuple(&encode_pr_tuple(&bare)).unwrap(), bare);
-        assert!(decode_pr_tuple("not packed").is_err());
-        assert!(decode_pr_tuple(&pack_strs(&["m".into(), "0".into()])).is_err());
-    }
-
-    #[test]
-    fn pr_outcome_roundtrips() {
-        let ok: Result<Vec<String>, Fault> = Ok(vec!["gflops|1.5".into(), "a;1:x".into()]);
-        assert_eq!(decode_pr_outcome(&encode_pr_outcome(&ok)).unwrap(), ok);
-        let empty: Result<Vec<String>, Fault> = Ok(vec![]);
-        assert_eq!(
-            decode_pr_outcome(&encode_pr_outcome(&empty)).unwrap(),
-            empty
-        );
-        let fault = decode_pr_outcome(&encode_pr_outcome(&Err(Fault::server("boom"))))
-            .unwrap()
-            .unwrap_err();
-        assert_eq!(fault.string, "boom");
-        let deadline =
-            decode_pr_outcome(&encode_pr_outcome(&Err(Fault::deadline_exceeded("late"))))
-                .unwrap()
-                .unwrap_err();
-        assert!(deadline.is_deadline_exceeded());
-        let cancelled = decode_pr_outcome(&encode_pr_outcome(&Err(Fault::cancelled("gone"))))
-            .unwrap()
-            .unwrap_err();
-        assert!(cancelled.is_cancelled());
-        assert!(decode_pr_outcome("").is_err());
-        assert!(decode_pr_outcome(&pack_strs(&["weird".into()])).is_err());
-    }
-
-    /// A wrapper that counts how it is reached, to pin the miss-group
-    /// contract: getPRBatch goes through get_pr_batch exactly once per
-    /// batch that has misses, never through per-query get_pr directly.
-    struct CountingWrapper {
-        batch_calls: AtomicUsize,
-        queries_seen: AtomicUsize,
-    }
-
-    impl CountingWrapper {
-        fn new() -> Self {
-            CountingWrapper {
-                batch_calls: AtomicUsize::new(0),
-                queries_seen: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    impl ExecutionWrapper for CountingWrapper {
-        fn info(&self) -> Vec<(String, String)> {
-            vec![]
-        }
-        fn foci(&self) -> Vec<String> {
-            vec![]
-        }
-        fn metrics(&self) -> Vec<String> {
-            vec![]
-        }
-        fn types(&self) -> Vec<String> {
-            vec![]
-        }
-        fn time_start_end(&self) -> (String, String) {
-            (String::new(), String::new())
-        }
-        fn get_pr(&self, query: &PrQuery) -> Result<Vec<String>, WrapperError> {
-            if query.metric == "bad" {
-                Err(WrapperError("unknown metric".into()))
-            } else {
-                Ok(vec![format!("{}|1.0", query.metric)])
-            }
-        }
-        fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {
-            self.batch_calls.fetch_add(1, Ordering::SeqCst);
-            self.queries_seen.fetch_add(queries.len(), Ordering::SeqCst);
-            queries.iter().map(|q| self.get_pr(q)).collect()
-        }
-    }
-
-    fn batch_call(queries: &[PrQuery]) -> Call {
-        Call {
-            method: "getPRBatch".into(),
-            namespace: Some(EXECUTION_NS.into()),
-            params: vec![(
-                "queries".into(),
-                Value::StrArray(queries.iter().map(encode_pr_tuple).collect()),
-            )],
-        }
-    }
-
-    fn query(metric: &str) -> PrQuery {
-        PrQuery {
-            metric: metric.into(),
-            foci: vec![],
-            start: "0".into(),
-            end: "1".into(),
-            rtype: "t".into(),
-        }
-    }
-
-    #[test]
-    fn batch_hits_cache_per_entry_and_wrapper_once_per_miss_group() {
-        let wrapper = Arc::new(CountingWrapper::new());
-        let service = ExecutionService::new(
-            "e0".into(),
-            wrapper.clone() as Arc<dyn ExecutionWrapper>,
-            true,
-        );
-        let queries = [query("gflops"), query("bad"), query("walltime")];
-
-        let out = service
-            .invoke("getPRBatch", &batch_call(&queries))
-            .unwrap()
-            .into_str_array()
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(
-            decode_pr_outcome(&out[0]).unwrap(),
-            Ok(vec!["gflops|1.0".into()])
-        );
-        assert!(decode_pr_outcome(&out[1]).unwrap().is_err());
-        assert_eq!(wrapper.batch_calls.load(Ordering::SeqCst), 1);
-        assert_eq!(wrapper.queries_seen.load(Ordering::SeqCst), 3);
-
-        // Second round: the two good tuples are cached; only the failed one
-        // (faults are never cached) plus a fresh tuple reach the wrapper,
-        // again as one group.
-        let queries2 = [
-            query("gflops"),
-            query("bad"),
-            query("walltime"),
-            query("iters"),
-        ];
-        let out2 = service
-            .invoke("getPRBatch", &batch_call(&queries2))
-            .unwrap()
-            .into_str_array()
-            .unwrap();
-        assert_eq!(out2.len(), 4);
-        assert_eq!(wrapper.batch_calls.load(Ordering::SeqCst), 2);
-        assert_eq!(wrapper.queries_seen.load(Ordering::SeqCst), 5);
-        let (hits, misses) = service.cache_stats();
-        assert_eq!(hits, 2);
-        assert_eq!(misses, 5);
-    }
-
-    #[test]
-    fn malformed_tuple_faults_only_its_entry() {
-        let wrapper = Arc::new(CountingWrapper::new());
-        let service = ExecutionService::new("e0".into(), wrapper, true);
-        let call = Call {
-            method: "getPRBatch".into(),
-            namespace: None,
-            params: vec![(
-                "queries".into(),
-                Value::StrArray(vec![encode_pr_tuple(&query("gflops")), "garbage".into()]),
-            )],
-        };
-        let out = service
-            .invoke("getPRBatch", &call)
-            .unwrap()
-            .into_str_array()
-            .unwrap();
-        assert_eq!(
-            decode_pr_outcome(&out[0]).unwrap(),
-            Ok(vec!["gflops|1.0".into()])
-        );
-        assert!(decode_pr_outcome(&out[1]).unwrap().is_err());
-    }
-
-    #[test]
-    fn expired_context_refuses_batch_without_touching_wrapper() {
-        let wrapper = Arc::new(CountingWrapper::new());
-        let service = ExecutionService::new(
-            "e0".into(),
-            wrapper.clone() as Arc<dyn ExecutionWrapper>,
-            true,
-        );
-        let ctx = CallContext::with_budget(std::time::Duration::ZERO);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = service
-            .invoke_ctx("getPRBatch", &batch_call(&[query("gflops")]), &ctx)
-            .unwrap_err();
-        assert!(err.is_deadline_exceeded());
-        assert_eq!(wrapper.batch_calls.load(Ordering::SeqCst), 0);
-    }
 }

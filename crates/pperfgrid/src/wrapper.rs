@@ -276,11 +276,11 @@ pub trait ExecutionWrapper: Send + Sync {
     /// Performance Results for many queries at once — one outcome per query,
     /// in order.
     ///
-    /// `ExecutionService::getPRBatch` funnels every cache *miss* of a batch
+    /// A caller holding many tuples for one execution can funnel them
     /// through a single call here, so a wrapper backed by a real database can
-    /// answer the whole miss group with one data-layer round trip. The
-    /// default loops over [`ExecutionWrapper::get_pr`], which is correct for
-    /// every wrapper and merely forfeits that amortization.
+    /// answer the whole group with one data-layer round trip. The default
+    /// loops over [`ExecutionWrapper::get_pr`], which is correct for every
+    /// wrapper and merely forfeits that amortization.
     fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {
         queries.iter().map(|q| self.get_pr(q)).collect()
     }

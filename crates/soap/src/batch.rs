@@ -1,46 +1,21 @@
-//! Multi-call envelopes: N sub-calls, one HTTP request.
+//! Multi-call batches: N sub-calls, one HTTP request.
 //!
 //! A fine-grained PortType like `getPR` pays one SOAP-over-HTTP round trip
 //! per call; a federated gateway fanning out to eight Execution instances on
-//! one host pays eight. The batch envelope amortizes that: the `<Body>`
-//! carries a single `<multiCall>` payload (so [`Envelope::parse`]'s
-//! one-payload rule still holds) whose `<entry>` children each name a target
-//! service path, a method, and ordinary RPC parameters:
+//! one host pays eight. A batch amortizes that: each [`BatchEntry`] names a
+//! target service path, a method, and ordinary RPC parameters, and the whole
+//! list rides one exchange under one shared call context. The PPGB frames in
+//! [`crate::wire`] carry batches both buffered (`POST /ogsa/binary`) and as
+//! interleaved streams (`POST /ogsa/batch-stream`).
 //!
-//! ```xml
-//! <soap:Envelope ...>
-//!   <soap:Header><ppg:CallContext .../></soap:Header>
-//!   <soap:Body>
-//!     <m:multiCall xmlns:m="urn:ppg:batch">
-//!       <entry path="/ogsa/services/psu-app/instances/0" method="getPR"
-//!              ns="urn:pperfgrid:Execution">
-//!         <metric xsi:type="xsd:string">gflops</metric>
-//!         ...
-//!       </entry>
-//!       ...
-//!     </m:multiCall>
-//!   </soap:Body>
-//! </soap:Envelope>
-//! ```
-//!
-//! The response mirrors the shape: `<multiCallResponse>` with one `<entry>`
-//! per sub-call, in order, each holding either a `<return>` value or a
-//! `<soap:Fault>`. Faults are *per entry* — one sub-call running out of
+//! Outcomes are *per entry* ([`BatchOutcome`]): one sub-call running out of
 //! budget or hitting a bad parameter never poisons its neighbours, which is
 //! what lets the gateway keep its partial-result semantics under batching.
 
-use crate::context::{context_from_header, context_header};
-use crate::envelope::Envelope;
 use crate::fault::Fault;
 use crate::value::Value;
-use crate::{Result, SoapError};
-use pperf_xml::Element;
-use ppg_context::CallContext;
 
-/// Namespace of the multi-call payload.
-pub const BATCH_NS: &str = "urn:ppg:batch";
-
-/// One sub-call of a multi-call envelope.
+/// One sub-call of a multi-call batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchEntry {
     /// Target service path on the receiving container
@@ -81,195 +56,3 @@ impl BatchEntry {
 
 /// What one sub-call produced: a return value, or its own fault.
 pub type BatchOutcome = std::result::Result<Value, Fault>;
-
-/// Encode a multi-call request. When `ctx` is given it rides as the usual
-/// `<ppg:CallContext>` header block, shared by every entry (one deadline for
-/// the whole batch).
-pub fn encode_batch_call(entries: &[BatchEntry], ctx: Option<&CallContext>) -> String {
-    let mut call = Element::new("m:multiCall");
-    call.set_attr("xmlns:m", BATCH_NS);
-    for entry in entries {
-        let mut el = Element::new("entry");
-        el.set_attr("path", entry.path.clone());
-        el.set_attr("method", entry.method.clone());
-        if let Some(ns) = &entry.namespace {
-            el.set_attr("ns", ns.clone());
-        }
-        for (name, value) in &entry.params {
-            el.push_child(value.to_element(name));
-        }
-        call.push_child(el);
-    }
-    Envelope::wrap_with_header(call, ctx.map(context_header)).to_document()
-}
-
-/// Decode a multi-call request into its entries and (optional) shared
-/// context.
-pub fn decode_batch_call(text: &str) -> Result<(Vec<BatchEntry>, Option<CallContext>)> {
-    let env = Envelope::parse(text)?;
-    if env.body.local_name() != "multiCall" {
-        return Err(SoapError::Envelope(format!(
-            "expected <multiCall>, got <{}>",
-            env.body.name
-        )));
-    }
-    let ctx = env.header.as_ref().and_then(context_from_header);
-    let mut entries = Vec::with_capacity(env.body.element_count());
-    for el in env.body.children_named("entry") {
-        let path = el
-            .attr("path")
-            .ok_or_else(|| SoapError::Envelope("batch entry missing path".into()))?
-            .to_owned();
-        let method = el
-            .attr("method")
-            .ok_or_else(|| SoapError::Envelope("batch entry missing method".into()))?
-            .to_owned();
-        let namespace = el.attr("ns").map(str::to_owned);
-        let mut params = Vec::with_capacity(el.element_count());
-        for child in el.child_elements() {
-            params.push((child.local_name().to_owned(), Value::from_element(child)?));
-        }
-        entries.push(BatchEntry {
-            path,
-            method,
-            namespace,
-            params,
-        });
-    }
-    Ok((entries, ctx))
-}
-
-/// Encode a multi-call response: one `<entry>` per outcome, in request
-/// order, holding a `<return>` value or a per-entry `<soap:Fault>`.
-pub fn encode_batch_response(outcomes: &[BatchOutcome]) -> String {
-    let mut resp = Element::new("m:multiCallResponse");
-    resp.set_attr("xmlns:m", BATCH_NS);
-    for outcome in outcomes {
-        let mut el = Element::new("entry");
-        match outcome {
-            Ok(value) => el.push_child(value.to_element("return")),
-            Err(fault) => el.push_child(fault.to_element()),
-        };
-        resp.push_child(el);
-    }
-    Envelope::wrap(resp).to_document()
-}
-
-/// Decode a multi-call response into per-entry outcomes.
-///
-/// A whole-batch `<soap:Fault>` body (the container refused the batch
-/// before dispatching any entry — e.g. its shared deadline was already
-/// spent) surfaces as [`SoapError::Fault`], matching `decode_response`.
-pub fn decode_batch_response(text: &str) -> Result<Vec<BatchOutcome>> {
-    let env = Envelope::parse(text)?;
-    if let Some(f) = Fault::from_element(&env.body) {
-        return Err(SoapError::Fault(f));
-    }
-    if env.body.local_name() != "multiCallResponse" {
-        return Err(SoapError::Envelope(format!(
-            "expected <multiCallResponse>, got <{}>",
-            env.body.name
-        )));
-    }
-    let mut outcomes = Vec::with_capacity(env.body.element_count());
-    for el in env.body.children_named("entry") {
-        let outcome = match el.child_elements().next() {
-            Some(child) => match Fault::from_element(child) {
-                Some(fault) => Err(fault),
-                None if child.local_name() == "return" => Ok(Value::from_element(child)?),
-                None => {
-                    return Err(SoapError::Envelope(format!(
-                        "batch entry holds <{}>, expected <return> or <Fault>",
-                        child.name
-                    )))
-                }
-            },
-            None => Ok(Value::Nil), // void return
-        };
-        outcomes.push(outcome);
-    }
-    Ok(outcomes)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
-
-    fn pr_entry(instance: usize) -> BatchEntry {
-        BatchEntry::new(
-            format!("/ogsa/services/psu-app/instances/{instance}"),
-            "getPR",
-            "urn:pperfgrid:Execution",
-            &[
-                ("metric", Value::from("gflops")),
-                ("foci", Value::StrArray(vec!["/Execution".into()])),
-            ],
-        )
-    }
-
-    #[test]
-    fn batch_call_roundtrip_with_context() {
-        let entries = vec![pr_entry(0), pr_entry(1), pr_entry(2)];
-        let ctx = CallContext::with_budget(Duration::from_millis(500));
-        let wire = encode_batch_call(&entries, Some(&ctx));
-        let (decoded, decoded_ctx) = decode_batch_call(&wire).unwrap();
-        assert_eq!(decoded, entries);
-        let decoded_ctx = decoded_ctx.expect("context header present");
-        assert_eq!(decoded_ctx.request_id(), ctx.request_id());
-        assert!(decoded_ctx.remaining().unwrap() <= Duration::from_millis(500));
-    }
-
-    #[test]
-    fn empty_batch_roundtrips() {
-        let wire = encode_batch_call(&[], None);
-        let (entries, ctx) = decode_batch_call(&wire).unwrap();
-        assert!(entries.is_empty());
-        assert!(ctx.is_none());
-        let resp = encode_batch_response(&[]);
-        assert!(decode_batch_response(&resp).unwrap().is_empty());
-    }
-
-    #[test]
-    fn response_mixes_returns_and_faults() {
-        let outcomes = vec![
-            Ok(Value::StrArray(vec![
-                "gflops|1.5".into(),
-                "gflops|1.6".into(),
-            ])),
-            Err(Fault::client("no such metric").with_detail("metric=bogus")),
-            Ok(Value::Nil),
-            Err(Fault::deadline_exceeded("budget spent before entry ran")),
-        ];
-        let wire = encode_batch_response(&outcomes);
-        let decoded = decode_batch_response(&wire).unwrap();
-        assert_eq!(decoded.len(), 4);
-        assert_eq!(decoded[0], outcomes[0]);
-        let fault = decoded[1].as_ref().unwrap_err();
-        assert_eq!(fault.string, "no such metric");
-        assert_eq!(decoded[2], Ok(Value::Nil));
-        assert!(decoded[3].as_ref().unwrap_err().is_deadline_exceeded());
-    }
-
-    #[test]
-    fn whole_batch_fault_surfaces_as_error() {
-        let wire = crate::encode_fault(&Fault::deadline_exceeded("batch refused"));
-        match decode_batch_response(&wire) {
-            Err(SoapError::Fault(f)) => assert!(f.is_deadline_exceeded()),
-            other => panic!("expected fault, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_entries_rejected() {
-        let wire = encode_batch_call(&[pr_entry(0)], None)
-            .replace("path=\"/ogsa/services/psu-app/instances/0\" ", "");
-        assert!(matches!(
-            decode_batch_call(&wire),
-            Err(SoapError::Envelope(_))
-        ));
-        let not_batch = crate::encode_call("getPR", "urn:x", &[]);
-        assert!(decode_batch_call(&not_batch).is_err());
-        assert!(decode_batch_response(&not_batch).is_err());
-    }
-}

@@ -36,10 +36,7 @@ mod value;
 pub mod wire;
 pub mod wsdl;
 
-pub use batch::{
-    decode_batch_call, decode_batch_response, encode_batch_call, encode_batch_response, BatchEntry,
-    BatchOutcome, BATCH_NS,
-};
+pub use batch::{BatchEntry, BatchOutcome};
 pub use codec::{decode_call, decode_response, encode_call, encode_fault, encode_response, Call};
 pub use context::{
     context_from_header, context_header, decode_call_with_context, encode_call_with_context,

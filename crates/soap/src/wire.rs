@@ -2,8 +2,8 @@
 //!
 //! XML-over-SOAP pays a marshaling tax on every bulk PerformanceResult hop:
 //! the packed columns are escaped into character data, wrapped in an
-//! envelope, and re-parsed on arrival. PPGB removes the tax for peers that
-//! negotiate it: one length-prefixed binary frame carries the same batch
+//! envelope, and re-parsed on arrival. PPGB removes the tax for peers at
+//! `wireVersion` 2 or newer: one length-prefixed binary frame carries a batch
 //! envelope — call header from the [`CallContext`], per-entry args, per-entry
 //! fault slots mirroring [`BatchOutcome`] — with every string as a raw
 //! length-prefixed byte run, zero escaping.
@@ -42,7 +42,7 @@
 //! * kind 3 (whole-batch fault): one fault, same encoding — the container
 //!   refused the batch before dispatching any entry. Decodes to
 //!   [`WireError::Fault`], which is a *semantic* outcome, not corruption:
-//!   it must never trigger the XML fallback.
+//!   it is an answer, never a sign that the peer does not speak PPGB.
 //! * kind 4 (notification event): `str` topic, `u64` per-topic sequence
 //!   number, `str` payload — one event of the push notification plane,
 //!   carried as one HTTP chunk on a long-lived subscription stream.
@@ -98,8 +98,8 @@
 //! exact original text (canonicality makes re-rendering lossless).
 //!
 //! Every other decode failure is a typed, non-panicking [`WireError`] whose
-//! [`WireError::is_corrupt`] is true — the caller's cue to forget the peer's
-//! binary capability and transparently re-send as XML.
+//! [`WireError::is_corrupt`] is true — the peer does not speak PPGB (or the
+//! bytes were damaged), and the caller treats the exchange as a site fault.
 
 use crate::batch::{BatchEntry, BatchOutcome};
 use crate::fault::{Fault, FaultCode};
@@ -111,7 +111,8 @@ use std::fmt;
 pub const PPGB_MAGIC: [u8; 4] = *b"PPGB";
 /// Current frame format version.
 pub const PPGB_VERSION: u8 = 1;
-/// Content type advertised and answered during codec negotiation.
+/// Content type of PPGB frames: `/ogsa/binary` bodies in both directions,
+/// and the push event streams a subscriber asks for in `Accept`.
 pub const BINARY_CONTENT_TYPE: &str = "application/x-ppg-binary";
 /// Content type of an interleaved PPGB batch stream (chunked body of
 /// length-prefixed kind-8/9/6/7/3 frames). Advertised in `Accept` by
@@ -137,8 +138,8 @@ const FLAG_CONTEXT: u8 = 1;
 /// a batch stream and carries a `u32` entry index right after the header.
 const FLAG_ENTRY: u8 = 2;
 
-/// Typed decode failure. Corrupt variants trigger XML fallback; a
-/// [`WireError::Fault`] is a well-formed refusal and does not.
+/// Typed decode failure. Corrupt variants mean the frame is unusable; a
+/// [`WireError::Fault`] is a well-formed refusal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
     /// The buffer ended before the structure it promised.
@@ -154,8 +155,8 @@ pub enum WireError {
 }
 
 impl WireError {
-    /// True when the frame itself is unusable and the sender should fall
-    /// back to XML; false for [`WireError::Fault`], which is an answer.
+    /// True when the frame itself is unusable; false for
+    /// [`WireError::Fault`], which is an answer.
     pub fn is_corrupt(&self) -> bool {
         !matches!(self, WireError::Fault(_))
     }
@@ -474,8 +475,7 @@ pub fn encode_binary_event(event: &WireEvent) -> Vec<u8> {
 }
 
 /// Decode a notification event frame. Corruption is a typed [`WireError`]
-/// whose [`WireError::is_corrupt`] drives the XML fallback, exactly like
-/// the batch frames.
+/// whose [`WireError::is_corrupt`] is true, exactly like the batch frames.
 pub fn decode_binary_event(buf: &[u8]) -> Result<WireEvent, WireError> {
     let (mut r, _flags) = open_frame(buf, KIND_EVENT)?;
     let topic = r.str()?;
@@ -842,8 +842,8 @@ pub fn decode_binary_batch_call(
 }
 
 /// Decode a batch response frame into per-entry outcomes. A kind-3 frame
-/// surfaces as [`WireError::Fault`], mirroring
-/// [`crate::batch::decode_batch_response`]'s whole-batch fault rule.
+/// (the container refused the whole batch before dispatching any entry)
+/// surfaces as [`WireError::Fault`].
 pub fn decode_binary_batch_response(buf: &[u8]) -> Result<Vec<BatchOutcome>, WireError> {
     let (mut r, _flags) = open_frame(buf, KIND_RESPONSE)?;
     let n = r.count(2)?;

@@ -2,11 +2,9 @@
 //! can carry, and the decoders never panic on arbitrary input.
 
 use pperf_soap::{
-    decode_batch_call, decode_batch_response, decode_binary_batch_call,
-    decode_binary_batch_response, decode_call, decode_response, encode_batch_call,
-    encode_batch_response, encode_binary_batch_call, encode_binary_batch_response, encode_call,
-    encode_fault, encode_response, pack_strs, unpack_strs, BatchEntry, BatchOutcome, Fault,
-    SoapError, Value, WireError,
+    decode_binary_batch_call, decode_binary_batch_response, decode_call, decode_response,
+    encode_binary_batch_call, encode_binary_batch_response, encode_call, encode_fault,
+    encode_response, pack_strs, unpack_strs, BatchEntry, Fault, SoapError, Value, WireError,
 };
 use proptest::prelude::*;
 
@@ -90,59 +88,6 @@ proptest! {
     #[test]
     fn unpack_never_panics(input in "\\PC{0,200}") {
         let _ = unpack_strs(&input);
-    }
-
-    #[test]
-    fn batch_call_roundtrip(
-        entries in proptest::collection::vec(
-            (
-                "[a-zA-Z0-9/_-]{1,40}",
-                method_strategy(),
-                proptest::collection::vec(("[a-zA-Z][a-zA-Z0-9]{0,12}", value_strategy()), 0..4),
-            ),
-            0..6,
-        ),
-    ) {
-        let built: Vec<BatchEntry> = entries
-            .iter()
-            .map(|(path, method, params)| {
-                let borrowed: Vec<(&str, Value)> =
-                    params.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                BatchEntry::new(format!("/{path}"), method.clone(), "urn:test", &borrowed)
-            })
-            .collect();
-        let wire = encode_batch_call(&built, None);
-        let (decoded, ctx) = decode_batch_call(&wire).expect("own encoding must decode");
-        prop_assert_eq!(decoded, built);
-        prop_assert!(ctx.is_none());
-    }
-
-    #[test]
-    fn batch_response_roundtrip(
-        outcomes in proptest::collection::vec(
-            prop_oneof![
-                value_strategy().prop_map(Ok),
-                ("\\PC{0,40}", proptest::option::of("\\PC{0,40}")).prop_map(|(msg, detail)| {
-                    let mut f = Fault::server(msg);
-                    if let Some(d) = detail {
-                        f = f.with_detail(d);
-                    }
-                    Err(f)
-                }),
-            ],
-            0..8,
-        ),
-    ) {
-        let wire = encode_batch_response(&outcomes);
-        let decoded: Vec<BatchOutcome> =
-            decode_batch_response(&wire).expect("own encoding must decode");
-        prop_assert_eq!(decoded, outcomes);
-    }
-
-    #[test]
-    fn batch_decoders_never_panic(input in "\\PC{0,300}") {
-        let _ = decode_batch_call(&input);
-        let _ = decode_batch_response(&input);
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Totality of the PPGB batch-stream reader: whatever bytes arrive — noise,
-//! a valid interleaved stream with flipped bits, or one cut short — it never
-//! panics, reports only typed [`WireError`]s, and never allocates from a
-//! length it read off the wire without checking it against the bytes that
-//! actually arrived.
+//! Decoder totality: whatever bytes arrive — noise, a valid input with
+//! flipped bits, or one cut short — the PPGB batch-stream reader, the
+//! notification-event decoder (kind 4, bytes off push connections), the
+//! cached-segment decoder (kind 5, spill files read back from disk) and the
+//! XML-fallback event decoder never panic, report only typed errors, and
+//! never allocate from a length they read off the wire without checking it
+//! against the bytes that actually arrived.
 
 use pperf_soap::{
-    encode_batch_stream_head, encode_entry_fault, encode_entry_head, BatchStreamReader, Fault,
-    FrameWriter, WireError,
+    decode_binary_event, decode_binary_segment, encode_batch_stream_head, encode_binary_event,
+    encode_binary_segment, encode_entry_fault, encode_entry_head, BatchStreamReader, Fault,
+    FrameWriter, WireError, WireEvent, WireSegment, PPGB_MAGIC, PPGB_VERSION,
 };
+use ppg_notify::{decode_xml_event, encode_xml_event, NotifyError};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,11 +68,28 @@ struct Decoded {
     largest_alloc: usize,
 }
 
+/// Run `f` and report the largest single allocation it made on this thread.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let out = f();
+    ARMED.with(|armed| armed.set(false));
+    (out, LARGEST.with(Cell::get))
+}
+
 /// Feed `bytes` in `chunk`-sized pieces, draining events after each, until
 /// the reader wants more bytes, finishes, or fails.
 fn decode(bytes: &[u8], chunk: usize) -> Decoded {
-    LARGEST.with(|largest| largest.set(0));
-    ARMED.with(|armed| armed.set(true));
+    let ((finished, failed), largest_alloc) = measured(|| feed(bytes, chunk));
+    Decoded {
+        finished,
+        failed,
+        largest_alloc,
+    }
+}
+
+/// The body of [`decode`]: `(finished, failed)`.
+fn feed(bytes: &[u8], chunk: usize) -> (bool, bool) {
     let mut reader = BatchStreamReader::new();
     let mut failed = false;
     'feed: for piece in bytes.chunks(chunk.max(1)) {
@@ -97,13 +118,7 @@ fn decode(bytes: &[u8], chunk: usize) -> Decoded {
         reader.entry_rows_seen(0),
         reader.entry_trace(0).len(),
     );
-    let finished = reader.finished();
-    ARMED.with(|armed| armed.set(false));
-    Decoded {
-        finished,
-        failed,
-        largest_alloc: LARGEST.with(Cell::get),
-    }
+    (reader.finished(), failed)
 }
 
 /// The allocation ceiling for decoding `input_len` bytes: linear in what
@@ -222,5 +237,144 @@ proptest! {
             decoded.largest_alloc,
             cut
         );
+    }
+}
+
+/// The single-frame decoders: each decodes one whole buffer.
+#[derive(Debug, Clone, Copy)]
+enum FrameKind {
+    /// PPGB kind 4, a push notification event.
+    Event,
+    /// PPGB kind 5, a spilled cache segment.
+    Segment,
+    /// The XML-fallback notification event.
+    XmlEvent,
+}
+
+const FRAME_KINDS: [FrameKind; 3] = [FrameKind::Event, FrameKind::Segment, FrameKind::XmlEvent];
+
+/// Decode `bytes` with `kind`'s decoder: whether it decoded, and the
+/// largest single allocation it made. Every failure must be a typed error.
+fn decode_frame(kind: FrameKind, bytes: &[u8]) -> (bool, usize) {
+    measured(|| match kind {
+        FrameKind::Event => decode_binary_event(bytes).is_ok(),
+        FrameKind::Segment => decode_binary_segment(bytes).is_ok(),
+        // The push sink hands the decoder each chunk as lossy UTF-8.
+        FrameKind::XmlEvent => match decode_xml_event(&String::from_utf8_lossy(bytes)) {
+            Ok(_) => true,
+            Err(NotifyError::Protocol(_)) => false,
+            Err(e) => panic!("untyped failure {e:?}"),
+        },
+    })
+}
+
+/// The opening bytes of a well-formed input of `kind`, so noise after them
+/// reaches the decoder's body instead of failing on the magic.
+fn frame_head(kind: FrameKind) -> Vec<u8> {
+    let frame_kind = match kind {
+        FrameKind::Event => 4,
+        FrameKind::Segment => 5,
+        FrameKind::XmlEvent => return b"<event topic=\"t\" seq=\"1\">".to_vec(),
+    };
+    let mut head = PPGB_MAGIC.to_vec();
+    head.extend_from_slice(&[PPGB_VERSION, frame_kind, 0, 0]);
+    head
+}
+
+/// A valid input of `kind`: an event carrying `text`, or a cached segment
+/// of `rows` rows (spanned rows ride a columnar block, the rest raw).
+fn valid_frame(kind: FrameKind, text: &str, seq: u64, rows: usize) -> Vec<u8> {
+    let event = WireEvent {
+        topic: format!("topic.{}", seq % 7),
+        seq,
+        payload: text.to_owned(),
+    };
+    match kind {
+        FrameKind::Event => encode_binary_event(&event),
+        FrameKind::XmlEvent => encode_xml_event(&event).into_bytes(),
+        FrameKind::Segment => {
+            let spanned = seq.is_multiple_of(2);
+            encode_binary_segment(&WireSegment {
+                series: format!("http://h/e::{text}"),
+                start: 0.0,
+                end: rows as f64,
+                filterable: spanned,
+                inserted_unix_ms: seq,
+                rows: (0..rows)
+                    .map(|r| {
+                        if spanned {
+                            format!("gflops|t={r}:{}|{text}", r + 1)
+                        } else {
+                            format!("raw row {r} {text}")
+                        }
+                    })
+                    .collect(),
+            })
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn frame_decoders_are_total_over_noise(
+        noise in proptest::collection::vec(any::<u8>(), 0..512),
+        headed in any::<bool>(),
+    ) {
+        for kind in FRAME_KINDS {
+            let mut bytes = if headed { frame_head(kind) } else { Vec::new() };
+            bytes.extend_from_slice(&noise);
+            let (_, largest) = decode_frame(kind, &bytes);
+            prop_assert!(
+                largest <= alloc_ceiling(bytes.len()),
+                "{kind:?}: allocated {largest} B decoding {} B",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn frame_decoders_are_total_over_bit_flips(
+        text in "\\PC{0,40}",
+        seq in any::<u64>(),
+        rows in 0usize..40,
+        flips in proptest::collection::vec((any::<u64>(), 0u8..8), 1..4),
+    ) {
+        for kind in FRAME_KINDS {
+            let mut bytes = valid_frame(kind, &text, seq, rows);
+            prop_assert!(decode_frame(kind, &bytes).0, "{kind:?}: the unflipped input must decode");
+            for (at, bit) in &flips {
+                let i = (*at % bytes.len() as u64) as usize;
+                bytes[i] ^= 1 << bit;
+            }
+            // A flip may still decode (a byte of payload text, say); what
+            // it must never do is panic, fail untyped, or allocate wild.
+            let (_, largest) = decode_frame(kind, &bytes);
+            prop_assert!(
+                largest <= alloc_ceiling(bytes.len()),
+                "{kind:?}: allocated {largest} B decoding {} B",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn frame_decoders_are_total_over_truncation(
+        text in "\\PC{0,40}",
+        seq in any::<u64>(),
+        rows in 0usize..40,
+        cut in any::<u64>(),
+    ) {
+        for kind in FRAME_KINDS {
+            let bytes = valid_frame(kind, &text, seq, rows);
+            let cut = (cut % bytes.len() as u64) as usize;
+            // A frame cut short never decodes: every length and the closing
+            // tag are checked against the bytes that arrived.
+            let (decoded, largest) = decode_frame(kind, &bytes[..cut]);
+            prop_assert!(!decoded, "{kind:?}: a prefix cut at {cut} of {} decoded", bytes.len());
+            prop_assert!(
+                largest <= alloc_ceiling(cut),
+                "{kind:?}: allocated {largest} B decoding {cut} B"
+            );
+        }
     }
 }

@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -30,16 +30,12 @@ cargo test -q -p pperf-httpd --features soak --test event_loop
 echo "==> httpd suite on the portable poll(2) backend"
 PPG_FORCE_POLL=1 cargo test -q -p pperf-httpd
 
-echo "==> batched wire protocol suite (mixed fleets, per-entry faults/deadlines)"
-cargo test -q -p pperf-soap batch
-cargo test -q -p pperf-gateway --test batch
-PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test batch
-
-echo "==> binary data plane suite (PPGB codec, wireVersion negotiation, mixed fleets)"
+echo "==> binary batch suite (PPGB codec, wireVersion negotiation, mixed fleets,"
+echo "    per-entry faults/deadlines, shared-batch headroom on the poll(2) backend)"
 cargo test -q -p pperf-soap wire
-cargo test -q -p pperf-gateway --test binary
-cargo test -q -p pperf-gateway --test force_xml
-echo "==> binary data plane: PPG_FORCE_XML=1 pass (fallback path stays green)"
+cargo test -q -p pperf-gateway --test batch --test binary --test force_xml
+PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test batch
+echo "==> binary batch: PPG_FORCE_XML=1 pass (the pin's per-call SOAP stays green)"
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test batch --test federation --test deadline
 
 echo "==> push notification plane suite (subscriptions, delta push, invalidation)"
@@ -56,11 +52,12 @@ echo "==> semantic segment cache: PPG_FORCE_XML=1 pass (spill is codec-negotiati
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test segment_cache
 
 echo "==> batch-streaming suite (interleaved entry sections, batches of one, backpressure,"
-echo "    per-entry truncation, frame-boundary cancel, fallback, reader totality)"
+echo "    per-entry truncation, frame-boundary cancel, fallback, decoder totality)"
 cargo test -q -p pperf-soap stream
+cargo test -q -p pperf-soap --test stream_totality
 cargo test -q -p pperf-httpd stream
 cargo test -q -p pperf-gateway --test streaming --test batch_stream
-echo "==> batch-streaming: PPG_FORCE_XML=1 pass (the pin keeps batches buffered XML, never streams)"
+echo "==> batch-streaming: PPG_FORCE_XML=1 pass (the pin sends every target per-call, never streams)"
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test force_xml --test batch --test federation
 
 if [[ "${PPG_BENCH:-0}" == "1" ]]; then
